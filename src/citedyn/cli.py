@@ -237,6 +237,7 @@ def _fit_payload(fit: historyfit.HistoryFit) -> dict:
         },
         "r2_adj": fit.r2_adj,
         "converged": fit.converged,
+        "diagnostics": fit.diagnostics.to_dict(),
     }
 
 

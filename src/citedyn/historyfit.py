@@ -36,6 +36,7 @@ baseline included, evaluated there.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import NamedTuple, Union
@@ -56,6 +57,7 @@ from .errors import (
 __all__ = [
     "HistoryParams",
     "HistoryFit",
+    "FitDiagnostics",
     "FitOptions",
     "DerivedMetrics",
     "CumulativeSplit",
@@ -79,6 +81,12 @@ LAMBDA_STARTS = (0.5, 2.0, 20.0)
 LAMBDA_BOUND = 50.0   # optimizer ceiling; tanh is numerically saturated beyond
 LAMBDA_CAP = 10.0     # reported as effectively infinite above this
 N_PARAMS = 5
+
+# The box a panel can identify; fit_history abandons a start that leaves
+# it (see _box_callback).
+MU_FLOOR = -3.0
+LN_A_MARGIN = 6.0
+STATUS_ABANDONED = -2   # least_squares status when the callback stops a start
 
 PEAK_WINDOW = (0.0, 50.0)   # search range for the component peak age
 PEAK_GRID_STEP = 0.025
@@ -187,6 +195,35 @@ class FitOptions:
 
 
 @dataclass(frozen=True)
+class FitDiagnostics:
+    """What the multi-start search did. No wall time, so it is deterministic.
+
+    starts: optimizer starts tried. abandoned: starts stopped because an
+    accepted iterate left the identifiable box (least_squares status -2).
+    failed: (start index, message) for each start whose optimizer raised.
+    best_start, best_status: grid index and least_squares status of the
+    winning start. nfev: residual evaluations over all starts that ran.
+    """
+
+    starts: int
+    abandoned: int
+    failed: tuple[tuple[int, str], ...]
+    best_start: int
+    best_status: int
+    nfev: int
+
+    def to_dict(self) -> dict:
+        return {
+            "starts": self.starts,
+            "abandoned": self.abandoned,
+            "failed": [{"start": i, "message": m} for i, m in self.failed],
+            "best_start": self.best_start,
+            "best_status": self.best_status,
+            "nfev": self.nfev,
+        }
+
+
+@dataclass(frozen=True)
 class HistoryFit:
     """Fit result: parameters, uncertainties, residuals, provenance.
 
@@ -206,6 +243,7 @@ class HistoryFit:
     discipline: str
     dataset_year: int
     percentile_cap: float | None
+    diagnostics: FitDiagnostics
 
 
 def _model_theta(theta: np.ndarray, t: np.ndarray) -> np.ndarray:
@@ -232,20 +270,11 @@ def _jac_theta(theta: np.ndarray, t: np.ndarray) -> np.ndarray:
     return cols
 
 
-def _jac_original(params: HistoryParams, t: np.ndarray) -> np.ndarray:
+def _jac_original(theta: np.ndarray, t: np.ndarray) -> np.ndarray:
     # Jacobian with respect to (A, mu, sigma, B, lambda) themselves, for
-    # covariance estimation.
-    tp1 = t + 1.0
-    z = (np.log(tp1) - params.mu) / params.sigma
-    f = np.exp(-0.5 * z * z) / (tp1 * params.sigma * _SQRT_2PI)
-    af = params.A * f
-    cols = np.empty((t.size, N_PARAMS))
-    cols[:, 0] = f
-    cols[:, 1] = af * z / params.sigma
-    cols[:, 2] = af * (z * z - 1.0) / params.sigma
-    cols[:, 3] = np.tanh(params.lam * t)
-    cols[:, 4] = params.B * t * _sech2(params.lam * t)
-    return cols
+    # covariance estimation: d/dX = (d/d ln X) / X for the log coordinates.
+    a, sig, b, lam = np.exp(theta[[0, 2, 3, 4]])
+    return _jac_theta(theta, t) * np.array([1.0 / a, 1.0, 1.0 / sig, 1.0 / b, 1.0 / lam])
 
 
 def _seed_scales(t: np.ndarray, u: np.ndarray, mu0: float, sig0: float) -> tuple[float, float]:
@@ -259,18 +288,56 @@ def _seed_scales(t: np.ndarray, u: np.ndarray, mu0: float, sig0: float) -> tuple
     return a0, b0
 
 
+def _box_callback(t: np.ndarray, u: np.ndarray):
+    """least_squares callback that abandons a start leaving the identifiable box.
+
+    The panel sees the lognormal f(t + 1; mu, sigma) only at shifted ages
+    t + 1 in [1, T_max + 1], so it cannot pin the parameters down along
+    mu -> -inf with A -> inf, where the component imitates a spike at age
+    0 (the lognormal aging identifiability problem of Wang, Song &
+    Barabasi, Science 342:127, 2013). The box cuts that direction off:
+
+    - mu < MU_FLOOR: the component's median exp(mu) lies more than 3 log
+      units before the first observed shifted age, so the panel holds only
+      its right tail, whose height A can trade against mu without limit.
+    - ln A > ln max(u) + ln(T_max + 1) + LN_A_MARGIN: A is the component's
+      total mass, while the whole panel carries at most max(u) (T_max + 1).
+      A curve that stays near the data then has more than 1 - e^-6, over
+      99.7%, of that mass outside the observed ages.
+
+    least_squares calls this after every iteration with the current
+    iterate, which moves only when a step is accepted. A start that stays
+    inside the box therefore follows exactly the path it would without the
+    callback.
+    """
+    ln_a_max = math.log(float(np.max(u))) + math.log(float(np.max(t)) + 1.0) + LN_A_MARGIN
+
+    def callback(x):
+        if x[1] < MU_FLOOR or x[0] > ln_a_max:
+            raise StopIteration
+
+    return callback
+
+
 def fit_history(panel: AgePanel, options: FitOptions | None = None) -> HistoryFit:
     """Least-squares fit of the history model to an age panel.
 
     Runs a multi-start local optimization (trust-region least squares with
     an analytic Jacobian) over a fixed grid of (mu, sigma, lambda) starts,
     positivity enforced by log-reparameterization and lambda bounded at
-    LAMBDA_BOUND. The best start by residual cost wins; converged is False
-    when no start satisfied the optimizer's tolerances.
+    LAMBDA_BOUND. A start is abandoned (status -2) as soon as an accepted
+    iterate leaves the box the panel can identify: mu >= MU_FLOOR and
+    ln A <= ln max(u) + ln(T_max + 1) + LN_A_MARGIN, with T_max the
+    panel's largest age (see _box_callback). The box is a stopping rule,
+    not a bound, so it does not change the path of a start that stays
+    inside it. The best surviving start by residual cost wins; converged
+    is False when it did not satisfy the optimizer's tolerances. The
+    result's diagnostics record what every start did.
 
     Raises:
         InsufficientDataError: fewer than 6 usable ages.
         DegenerateDataError: all-zero response.
+        ConvergenceError: every start was abandoned or failed.
     """
     opts = options or FitOptions()
     t = np.array([e.t for e in panel.entries], dtype=float)
@@ -295,32 +362,49 @@ def fit_history(panel: AgePanel, options: FitOptions | None = None) -> HistoryFi
 
     lower = np.full(N_PARAMS, -np.inf)
     upper = np.array([np.inf, np.inf, np.inf, np.inf, math.log(LAMBDA_BOUND)])
+    callback = _box_callback(t, u)
 
+    grid = list(itertools.product(MU_STARTS, SIGMA_STARTS, LAMBDA_STARTS))
     best = None
     best_cost = np.inf
-    for mu0 in MU_STARTS:
-        for sig0 in SIGMA_STARTS:
-            for lam0 in LAMBDA_STARTS:
-                a0, b0 = _seed_scales(t, u, mu0, sig0)
-                x0 = np.array(
-                    [math.log(a0), mu0, math.log(sig0), math.log(b0), math.log(lam0)]
-                )
-                try:
-                    res = least_squares(
-                        resid,
-                        x0,
-                        jac=jac,
-                        method="trf",
-                        bounds=(lower, upper),
-                        max_nfev=opts.max_nfev,
-                    )
-                except Exception:
-                    continue
-                if res.cost < best_cost:
-                    best = res
-                    best_cost = res.cost
+    best_start = -1
+    abandoned = nfev = 0
+    failed = []
+    for i, (mu0, sig0, lam0) in enumerate(grid):
+        a0, b0 = _seed_scales(t, u, mu0, sig0)
+        x0 = np.array([math.log(a0), mu0, math.log(sig0), math.log(b0), math.log(lam0)])
+        try:
+            res = least_squares(
+                resid,
+                x0,
+                jac=jac,
+                method="trf",
+                bounds=(lower, upper),
+                max_nfev=opts.max_nfev,
+                callback=callback,
+            )
+        except (ValueError, np.linalg.LinAlgError) as exc:
+            failed.append((i, f"{type(exc).__name__}: {exc}"))
+            continue
+        nfev += res.nfev
+        if res.status == STATUS_ABANDONED:
+            abandoned += 1
+        elif res.cost < best_cost:
+            best, best_cost, best_start = res, res.cost, i
     if best is None:
-        raise ConvergenceError("every optimization start failed outright")
+        detail = f"; first failure: start {failed[0][0]}, {failed[0][1]}" if failed else ""
+        raise ConvergenceError(
+            f"no optimization start survived: {abandoned} of {len(grid)} abandoned "
+            f"outside the identifiable box, {len(failed)} failed{detail}"
+        )
+    diagnostics = FitDiagnostics(
+        starts=len(grid),
+        abandoned=abandoned,
+        failed=tuple(failed),
+        best_start=best_start,
+        best_status=int(best.status),
+        nfev=nfev,
+    )
 
     theta = best.x.copy()
     # tanh saturates at integer ages long before LAMBDA_BOUND, so the cost
@@ -354,7 +438,7 @@ def fit_history(panel: AgePanel, options: FitOptions | None = None) -> HistoryFi
     else:
         r2_adj = 1.0
 
-    jac_o = _jac_original(params, t) * w[:, None]
+    jac_o = _jac_original(theta, t) * w[:, None]
     s2 = ssr / (n - N_PARAMS) if n > N_PARAMS else 0.0
     cov = s2 * np.linalg.pinv(jac_o.T @ jac_o)
     se = np.sqrt(np.clip(np.diag(cov), 0.0, None))
@@ -372,6 +456,7 @@ def fit_history(panel: AgePanel, options: FitOptions | None = None) -> HistoryFi
         discipline=panel.discipline,
         dataset_year=panel.dataset_year,
         percentile_cap=panel.percentile_cap,
+        diagnostics=diagnostics,
     )
 
 

@@ -5,7 +5,9 @@ dictionary holds closed-form values evaluated once with 50-digit
 arithmetic and pasted here as literals. The fit tables and the
 ready-reckoner grid are regression anchors quoted at three-significant-
 figure precision, so comparisons against them use tolerances wide enough
-to absorb that rounding.
+to absorb that rounding. The flat panel and its fitted winner are the one
+exception: the code computed them once, and they are frozen here at full
+precision as a regression anchor.
 """
 
 from __future__ import annotations
@@ -184,6 +186,50 @@ def all_reference_rows():
         (f"{d}@{p}", params_for(d, p)) for (d, p) in sorted(PERCENTILE_FITS)
     ]
     return rows
+
+
+# --- flat panel: no aging at all ----------------------------------------------
+# The benchmark's flat stress case (perfbench/inputs.py, draw 0): 50,000
+# eprints over 21 cohorts draw Poisson counts at a constant rate of 2 per
+# year; the panel is their 0.99-capped age panel at 2019. Frozen here at
+# full precision as (age, u, n). Without aging the history model is not
+# identified: many starts drift towards mu -> -inf with A -> inf.
+
+FLAT_PANEL_ENTRIES = (
+    (0, 1.9993941229930323, 49515),
+    (1, 1.9979845125702769, 47135),
+    (2, 1.9937437157859457, 44755),
+    (3, 1.9856991150442478, 42375),
+    (4, 2.01187648456057, 39995),
+    (5, 1.9957729629137313, 37615),
+    (6, 1.9991769547325102, 35235),
+    (7, 1.9906863491097246, 32855),
+    (8, 2.003642329778507, 30475),
+    (9, 1.9735896066915821, 28095),
+    (10, 1.9929613066303713, 25715),
+    (11, 1.9777158774373258, 23335),
+    (12, 1.9785254115962778, 20955),
+    (13, 1.9879946164199191, 18575),
+    (14, 1.968755788823711, 16195),
+    (15, 1.9784308048639259, 13816),
+    (16, 1.9789280405700795, 11437),
+    (17, 1.9539038376709308, 9068),
+    (18, 1.9563077840739636, 6706),
+    (19, 1.9371011850501367, 4388),
+    (20, 1.9503280224929709, 2134),
+)
+
+# Winner of the unweighted fit to the flat panel: a regression anchor.
+FLAT_FIT = dict(A=4.886970992810785, mu=0.5307702007900179)
+
+
+def flat_panel() -> AgePanel:
+    return AgePanel(
+        discipline="flat",
+        dataset_year=2019,
+        percentile_cap=0.99,
+        entries=FLAT_PANEL_ENTRIES,
+    )
 
 
 # --- synthetic data builders --------------------------------------------------

@@ -126,6 +126,7 @@ def test_c04_panel_refits():
         for label, truth in all_reference_rows():
             fit = historyfit.fit_history(make_panel(truth))
             assert fit.converged, label
+            assert fit.diagnostics.abandoned == 0, label
             got = fit.params
             for attr in ("A", "mu", "sigma", "B"):
                 rel = abs(getattr(got, attr) / getattr(truth, attr) - 1.0)
@@ -139,6 +140,7 @@ def test_c04_panel_refits():
         for label, truth in all_reference_rows():
             fit = historyfit.fit_history(make_panel(truth, noise_sd=0.02, seed=15))
             assert fit.converged, label
+            assert fit.diagnostics.abandoned == 0, label
             got = fit.params
             for attr in ("A", "mu", "sigma", "B"):
                 rel = abs(getattr(got, attr) / getattr(truth, attr) - 1.0)
@@ -254,7 +256,15 @@ def test_c10_timing_clt():
         assert single.jb_pvalue < 1e-6, single.jb_pvalue
 
 
-def test_c11_drifting_trend(tmp_path):
+def test_c11_drifting_trend(tmp_path, monkeypatch):
+    fits = []
+    fit_history = historyfit.fit_history
+
+    def recording(panel, options=None):
+        fits.append(fit_history(panel, options))
+        return fits[-1]
+
+    monkeypatch.setattr(historyfit, "fit_history", recording)
     with reported("11 drifting trend", 60.0):
         path = tmp_path / "drift.csv"
         corpus.write_long_csv(drift_corpus(), path)
@@ -270,6 +280,8 @@ def test_c11_drifting_trend(tmp_path):
         points = historyfit.trend_metrics(panels)
         assert len(points) == 10
         assert all(p.converged for p in points)
+        assert len(fits) == 10
+        assert all(f.diagnostics.abandoned == 0 for f in fits)
         s = [p.s_rate for p in points]
         r = [p.r_rate for p in points]
         assert all(a < b for a, b in zip(s, s[1:])), s

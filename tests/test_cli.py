@@ -203,9 +203,18 @@ def test_fit_history_from_panel_csv(tmp_path):
     assert got["lambda"] == pytest.approx(ASTRO.lam, rel=0.10)
     assert not got["lambda_capped"]
     assert payload["converged"]
+    diagnostics = payload["diagnostics"]
+    assert set(diagnostics) == {"starts", "abandoned", "failed", "best_start", "best_status", "nfev"}
+    assert diagnostics["starts"] == 36
+    assert diagnostics["abandoned"] == 0
+    assert diagnostics["failed"] == []
     with open(curve, newline="") as fh:
         header = next(csv.reader(fh))
     assert header == ["t", "u_hat", "f_component", "g_component"]
+    # the envelope, diagnostics included, feeds straight back into --fit
+    metrics = tmp_path / "m.json"
+    assert run_command(["metrics", "--fit", str(out), "--out", str(metrics)]) == 0
+    assert read_envelope(metrics)["payload"]["params"] == got
 
 
 def test_fit_history_unknown_discipline_is_a_data_error(tmp_path):

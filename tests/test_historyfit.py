@@ -9,7 +9,9 @@ from hypothesis import given
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
+from citedyn import historyfit
 from citedyn.errors import (
+    ConvergenceError,
     DataError,
     DegenerateDataError,
     DomainError,
@@ -17,6 +19,7 @@ from citedyn.errors import (
     InvalidInputError,
 )
 from citedyn.historyfit import (
+    FitDiagnostics,
     FitOptions,
     HistoryFit,
     HistoryParams,
@@ -28,7 +31,7 @@ from citedyn.historyfit import (
     write_curve_csv,
 )
 
-from _reference import ORACLE, REFERENCE_METRICS, make_panel, params_for
+from _reference import FLAT_FIT, ORACLE, REFERENCE_METRICS, flat_panel, make_panel, params_for
 
 ASTRO = params_for("astro-ph")
 HEP = params_for("hep")  # capped sigmoid
@@ -236,6 +239,81 @@ def test_fit_rejects_thin_or_flat_panels():
         fit_history(zeroed)
 
 
+def _record_statuses(monkeypatch):
+    """Collect the least_squares status of every start fit_history runs."""
+    statuses = []
+    least_squares = historyfit.least_squares
+
+    def recording(*args, **kwargs):
+        res = least_squares(*args, **kwargs)
+        statuses.append(res.status)
+        return res
+
+    monkeypatch.setattr(historyfit, "least_squares", recording)
+    return statuses
+
+
+def test_diagnostics_of_a_clean_fit(monkeypatch):
+    statuses = _record_statuses(monkeypatch)
+    d = fit_history(make_panel(ASTRO)).diagnostics
+    assert d.starts == len(statuses) == 36
+    assert d.abandoned == 0
+    assert d.failed == ()
+    assert d.best_status == statuses[d.best_start] > 0
+    assert d.nfev > 0
+
+
+def test_flat_panel_abandons_runaway_starts(monkeypatch):
+    # Without aging the model is not identified. Starts that drift towards
+    # mu -> -inf are abandoned early instead of burning max_nfev each.
+    statuses = _record_statuses(monkeypatch)
+    fit = fit_history(flat_panel())
+    d = fit.diagnostics
+    assert d.abandoned > 0
+    assert d.abandoned == statuses.count(historyfit.STATUS_ABANDONED)
+    assert 0 not in statuses  # no start ran into max_nfev
+    assert d.nfev < 5000
+    assert fit.converged
+    assert fit.params.A == pytest.approx(FLAT_FIT["A"], rel=1e-6)
+    assert fit.params.mu == pytest.approx(FLAT_FIT["mu"], rel=1e-6)
+
+
+def test_programming_errors_propagate(monkeypatch):
+    def broken(theta, t):
+        raise TypeError("broken model")
+
+    monkeypatch.setattr(historyfit, "_model_theta", broken)
+    with pytest.raises(TypeError, match="broken model"):
+        fit_history(make_panel(ASTRO))
+
+
+def test_no_surviving_start_is_a_convergence_error(monkeypatch):
+    # least_squares rejects a non-finite initial residual with ValueError
+    monkeypatch.setattr(historyfit, "_model_theta", lambda theta, t: np.full(t.size, np.nan))
+    with pytest.raises(ConvergenceError, match="0 of 36 abandoned .* 36 failed.*ValueError"):
+        fit_history(make_panel(ASTRO))
+    monkeypatch.undo()
+    # a box no start can stay in abandons every start
+    monkeypatch.setattr(historyfit, "MU_FLOOR", 10.0)
+    with pytest.raises(ConvergenceError, match="36 of 36 abandoned .* 0 failed"):
+        fit_history(make_panel(ASTRO))
+
+
+def test_jac_original_matches_finite_differences():
+    t = np.arange(21.0)
+    p = ASTRO
+    theta = np.array([math.log(p.A), p.mu, math.log(p.sigma), math.log(p.B), math.log(p.lam)])
+    jac = historyfit._jac_original(theta, t)
+    values = [p.A, p.mu, p.sigma, p.B, p.lam]
+    for k in range(5):
+        h = 1e-6 * abs(values[k])
+        up, down = list(values), list(values)
+        up[k] += h
+        down[k] -= h
+        numeric = (eval_history(HistoryParams(*up), t) - eval_history(HistoryParams(*down), t)) / (2 * h)
+        assert jac[:, k] == pytest.approx(numeric, rel=1e-6, abs=1e-9), k
+
+
 # --- derived metrics -------------------------------------------------------------
 
 
@@ -289,6 +367,9 @@ def test_metrics_refuse_failed_fit():
         discipline="x",
         dataset_year=2019,
         percentile_cap=None,
+        diagnostics=FitDiagnostics(
+            starts=36, abandoned=0, failed=(), best_start=0, best_status=0, nfev=1000
+        ),
     )
     with pytest.raises(InvalidInputError):
         derive_metrics(fit)
