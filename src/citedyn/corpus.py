@@ -210,18 +210,38 @@ def load_corpus(path, format: str, retrieval_year: int | None = None):
 
 
 def _load_long_csv(path, retrieval_year: int | None) -> CitationCorpus:
-    by_id: dict[str, dict] = {}
+    # eprint_id -> [submit_year, {discipline: set of ages}, {age: count}]
+    by_id: dict[str, list] = {}
     with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
-        _check_header(reader.fieldnames, LONG_CSV_COLUMNS, path)
-        for row_no, row in enumerate(reader, start=2):
-            eid = (row.get("eprint_id") or "").strip()
-            disc = (row.get("discipline") or "").strip()
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        _check_header(header, LONG_CSV_COLUMNS, path)
+        # A repeated column name reads its last occurrence, as csv.DictReader does.
+        index = {name: i for i, name in enumerate(header)}
+        i_id, i_disc, i_year, i_age, i_count = (index[c] for c in LONG_CSV_COLUMNS)
+        width = len(header)
+        row_no = 1
+        for row in reader:
+            # Blank lines are skipped and not numbered; a short row reads its
+            # missing cells as None. Both as csv.DictReader does.
+            if not row:
+                continue
+            row_no += 1
+            if len(row) < width:
+                row += [None] * (width - len(row))
+            eid = (row[i_id] or "").strip()
+            disc = (row[i_disc] or "").strip()
             if not eid or not disc:
                 raise DataError(f"row {row_no}: empty eprint_id or discipline")
-            year = _parse_int(row["submit_year"], "submit_year", row_no)
-            age = _parse_int(row["age"], "age", row_no)
-            count = _parse_int(row["citations_in_year"], "citations_in_year", row_no)
+            try:
+                year = int(row[i_year])
+                age = int(row[i_age])
+                count = int(row[i_count])
+            except (TypeError, ValueError):
+                # Re-parse column by column to name the first bad one.
+                year = _parse_int(row[i_year], "submit_year", row_no)
+                age = _parse_int(row[i_age], "age", row_no)
+                count = _parse_int(row[i_count], "citations_in_year", row_no)
             if age < 0:
                 raise DataError(f"row {row_no}: negative age {age}")
             if count < 0:
@@ -229,44 +249,45 @@ def _load_long_csv(path, retrieval_year: int | None) -> CitationCorpus:
             if year < MIN_SUBMIT_YEAR:
                 raise DataError(f"row {row_no}: submit_year {year} predates {MIN_SUBMIT_YEAR}")
 
-            entry = by_id.setdefault(
-                eid,
-                {"submit_year": year, "disciplines": set(), "counts": {}, "seen": set()},
-            )
-            if entry["submit_year"] != year:
+            entry = by_id.get(eid)
+            if entry is None:
+                entry = by_id[eid] = [year, {}, {}]
+            elif entry[0] != year:
                 raise DataError(
                     f"row {row_no}: eprint {eid!r} submit_year {year} conflicts "
-                    f"with earlier value {entry['submit_year']}"
+                    f"with earlier value {entry[0]}"
                 )
-            key = (disc, age)
-            if key in entry["seen"]:
+            _, ages_by_disc, counts = entry
+            ages = ages_by_disc.get(disc)
+            if ages is None:
+                ages = ages_by_disc[disc] = set()
+            elif age in ages:
                 raise DataError(f"row {row_no}: duplicate (eprint_id, discipline, age) = "
                                 f"({eid!r}, {disc!r}, {age})")
-            entry["seen"].add(key)
-            entry["disciplines"].add(disc)
-            if age in entry["counts"] and entry["counts"][age] != count:
+            ages.add(age)
+            known = counts.setdefault(age, count)
+            if known != count:
                 raise DataError(
                     f"row {row_no}: eprint {eid!r} age {age} count {count} conflicts "
-                    f"with {entry['counts'][age]} from another discipline row"
+                    f"with {known} from another discipline row"
                 )
-            entry["counts"][age] = count
 
     if not by_id:
         raise DataError(f"{path}: no data rows")
 
     records = []
     for eid in sorted(by_id):
-        entry = by_id[eid]
-        max_age = max(entry["counts"])
-        gaps = [a for a in range(max_age + 1) if a not in entry["counts"]]
-        if gaps:
+        submit_year, ages_by_disc, counts = by_id[eid]
+        max_age = max(counts)
+        if len(counts) <= max_age:
+            gaps = [a for a in range(max_age + 1) if a not in counts]
             log.warning("eprint %s: ages %s absent from file, zero-filled", eid, gaps)
-        yearly = tuple(entry["counts"].get(a, 0) for a in range(max_age + 1))
+        yearly = tuple(counts.get(a, 0) for a in range(max_age + 1))
         records.append(
             EprintRecord(
                 eprint_id=eid,
-                disciplines=frozenset(entry["disciplines"]),
-                submit_year=entry["submit_year"],
+                disciplines=frozenset(ages_by_disc),
+                submit_year=submit_year,
                 yearly_citations=yearly,
             )
         )
@@ -469,10 +490,12 @@ def write_long_csv(corpus: CitationCorpus, path) -> None:
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(LONG_CSV_COLUMNS)
-        for rec in corpus.records:
-            for disc in sorted(rec.disciplines):
-                for age, count in enumerate(rec.yearly_citations):
-                    writer.writerow([rec.eprint_id, disc, rec.submit_year, age, count])
+        writer.writerows(
+            (rec.eprint_id, disc, rec.submit_year, age, count)
+            for rec in corpus.records
+            for disc in sorted(rec.disciplines)
+            for age, count in enumerate(rec.yearly_citations)
+        )
 
 
 def write_panel_csv(panels: Iterable[AgePanel], path) -> None:

@@ -37,7 +37,6 @@ __all__ = [
     "PowerLawFit",
     "normal_cdf",
     "normal_quantile",
-    "normal_cdf_quantile",
     "make_quantile_series",
     "fit_lognormal_quantile",
     "fit_power_law_quantile",
@@ -143,23 +142,6 @@ def normal_quantile(q):
     x -= err / pdf
 
     return float(x[0]) if scalar else x
-
-
-def normal_cdf_quantile(mode: str, x_or_q: float) -> float:
-    """Dispatch to the normal CDF or its inverse.
-
-    Args:
-        mode: "cdf" evaluates Phi(x_or_q); "quantile" evaluates PhiInv.
-        x_or_q: the argument; quantile mode requires a value in (0, 1).
-
-    Raises:
-        DomainError: unknown mode, or quantile argument outside (0, 1).
-    """
-    if mode == "cdf":
-        return float(normal_cdf(x_or_q))
-    if mode == "quantile":
-        return float(normal_quantile(x_or_q))
-    raise DomainError(f"mode must be 'cdf' or 'quantile', got {mode!r}")
 
 
 @dataclass(frozen=True)

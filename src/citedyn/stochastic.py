@@ -534,9 +534,11 @@ def write_ensemble_csv(ensemble: PathEnsemble, path, mode: str = "paths") -> Non
         writer = csv.writer(fh, lineterminator="\n")
         if mode == "paths":
             writer.writerow(["path_id", "t", "x"])
-            for pid in range(ensemble.paths.shape[0]):
-                for t, x in zip(ensemble.grid, ensemble.paths[pid]):
-                    writer.writerow([pid, repr(float(t)), repr(float(x))])
+            # No cell of these rows needs csv quoting, so each path is joined
+            # as text. Converting one path at a time bounds the Python floats.
+            t_cells = [f",{t!r}," for t in ensemble.grid.tolist()]
+            for pid, row in enumerate(ensemble.paths):
+                fh.write("".join([f"{pid}{t}{x!r}\n" for t, x in zip(t_cells, row.tolist())]))
         else:
             writer.writerow(["t", "mean", "var", "q05", "q50", "q95"])
             ddof = 1 if ensemble.paths.shape[0] > 1 else 0

@@ -4,6 +4,8 @@ import csv
 import logging
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from citedyn import corpus as corpus_mod
 from citedyn.corpus import (
@@ -162,6 +164,98 @@ def test_long_csv_gap_zero_fills_with_warning(tmp_path, caplog):
         loaded = load_corpus(path, "long-csv")
     assert loaded.records[0].yearly_citations == (1, 0, 3)
     assert any("zero-filled" in m for m in caplog.messages)
+
+
+HEADER = ",".join(corpus_mod.LONG_CSV_COLUMNS)
+
+# (data lines after the header, exact DataError message). Row numbers count
+# the header as row 1 and skip blank lines.
+LOAD_ERRORS = {
+    "empty id": (["a,x,2015,0,1", ",x,2015,1,1"], "row 3: empty eprint_id or discipline"),
+    "blank discipline": (["a, ,2015,0,1"], "row 2: empty eprint_id or discipline"),
+    "year not int": (["a,x,noise,0,1"], "row 2: column 'submit_year' is not an integer: 'noise'"),
+    "age not int": (["a,x,2015,1.5,1"], "row 2: column 'age' is not an integer: '1.5'"),
+    "count not int": (["a,x,2015,0,"], "row 2: column 'citations_in_year' is not an integer: ''"),
+    "negative age": (["a,x,2015,-1,1"], "row 2: negative age -1"),
+    "negative count": (["a,x,2015,0,-3"], "row 2: negative citations_in_year -3"),
+    "early year": (["a,x,1990,0,1"], "row 2: submit_year 1990 predates 1991"),
+    "year conflict": (
+        ["a,x,2015,0,1", "a,y,2016,0,1"],
+        "row 3: eprint 'a' submit_year 2016 conflicts with earlier value 2015",
+    ),
+    "duplicate": (
+        ["a,x,2015,0,1", "b,x,2015,0,1", "a,x,2015,0,1"],
+        "row 4: duplicate (eprint_id, discipline, age) = ('a', 'x', 0)",
+    ),
+    "count conflict": (
+        ["a,x,2015,0,1", "a,y,2015,0,2"],
+        "row 3: eprint 'a' age 0 count 2 conflicts with 1 from another discipline row",
+    ),
+    "blank lines not numbered": (
+        ["a,x,2015,0,1", "", "", "a,x,2015,1,bad"],
+        "row 3: column 'citations_in_year' is not an integer: 'bad'",
+    ),
+    "short row": (["a,x,2015"], "row 2: column 'age' is not an integer: None"),
+    "row of one cell": (["a"], "row 2: empty eprint_id or discipline"),
+    "earlier fault wins": (
+        ["a,x,2015,0,1", "a,x,2015,0,oops", "a,x,1980,0,1"],
+        "row 3: column 'citations_in_year' is not an integer: 'oops'",
+    ),
+    "checks run in order": (["a,x,1980,-1,-1"], "row 2: negative age -1"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(LOAD_ERRORS))
+def test_long_csv_error_contract(tmp_path, case):
+    lines, message = LOAD_ERRORS[case]
+    path = tmp_path / "bad.csv"
+    path.write_text("\n".join([HEADER, *lines]) + "\n", encoding="utf-8")
+    with pytest.raises(DataError) as err:
+        load_corpus(path, "long-csv")
+    assert str(err.value) == message
+
+
+def test_long_csv_without_data_rows(tmp_path):
+    path = tmp_path / "empty.csv"
+    path.write_text(HEADER + "\n\n\n", encoding="utf-8")
+    with pytest.raises(DataError) as err:
+        load_corpus(path, "long-csv")
+    assert str(err.value) == f"{path}: no data rows"
+
+
+def test_long_csv_repeated_column_reads_last(tmp_path):
+    # As csv.DictReader: a repeated header name takes its last column.
+    path = tmp_path / "twice.csv"
+    path.write_text(HEADER + ",age\na,x,2015,0,4,1\n", encoding="utf-8")
+    assert load_corpus(path, "long-csv").records[0].yearly_citations == (0, 4)
+
+
+_ID_CHARS = st.sampled_from(list('ab1,"\'.-/'))
+
+
+@st.composite
+def corpora(draw):
+    ids = draw(st.lists(st.text(_ID_CHARS, min_size=1, max_size=6), min_size=1, max_size=6,
+                        unique=True))
+    records = [
+        EprintRecord(
+            eprint_id=eid,
+            disciplines=draw(st.frozensets(st.text(_ID_CHARS, min_size=1, max_size=4),
+                                           min_size=1, max_size=3)),
+            submit_year=draw(st.integers(corpus_mod.MIN_SUBMIT_YEAR, 2020)),
+            yearly_citations=draw(st.lists(st.integers(0, 40), min_size=1, max_size=5)),
+        )
+        for eid in sorted(ids)
+    ]
+    horizon = max(r.submit_year + len(r.yearly_citations) - 1 for r in records)
+    return CitationCorpus(records=tuple(records), retrieval_year=horizon)
+
+
+@given(corpora())
+def test_long_csv_round_trip_property(tmp_path_factory, original):
+    path = tmp_path_factory.mktemp("round") / "corpus.csv"
+    write_long_csv(original, path)
+    assert load_corpus(path, "long-csv") == original
 
 
 def test_unknown_format_rejected(tmp_path):

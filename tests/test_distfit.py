@@ -60,13 +60,6 @@ def test_normal_quantile_rejects_out_of_domain():
         distfit.normal_quantile([0.5, 1.0])
 
 
-def test_cdf_quantile_dispatch():
-    assert distfit.normal_cdf_quantile("cdf", 1.0) == distfit.normal_cdf(1.0)
-    assert distfit.normal_cdf_quantile("quantile", 0.5) == pytest.approx(0.0, abs=1e-12)
-    with pytest.raises(DomainError):
-        distfit.normal_cdf_quantile("pdf", 0.5)
-
-
 # --- rank construction -------------------------------------------------------
 
 

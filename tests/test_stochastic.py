@@ -343,6 +343,13 @@ def test_ensemble_csv_paths_and_summary(tmp_path):
         rows = list(csv.DictReader(fh))
     assert len(rows) == 5 * 5
     assert float(rows[0]["x"]) == ens.paths[0, 0]
+    # Every line, not just the first: repr round-trips each float exactly.
+    expected = ["path_id,t,x"] + [
+        f"{pid},{t!r},{x!r}"
+        for pid in range(ens.paths.shape[0])
+        for t, x in zip(ens.grid.tolist(), ens.paths[pid].tolist())
+    ]
+    assert p_paths.read_text(encoding="utf-8") == "\n".join(expected) + "\n"
 
     p_sum = tmp_path / "summary.csv"
     write_ensemble_csv(ens, p_sum, mode="summary")
