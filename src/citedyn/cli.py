@@ -495,22 +495,24 @@ def _cmd_simulate(args):
     params = _load_params(args.fit)
     vol, vol_inputs = _load_vol(args)
     config = _sde_config(args)
-    ensemble = stochastic.simulate_ensemble(
-        params, vol, config, method=args.method, threads=args.threads
-    )
-    counts = stochastic.count_citations(ensemble)
+    if args.ensemble:
+        # Both CSV layouts need the whole matrix.
+        ensemble = stochastic.simulate_ensemble(params, vol, config, method=args.method)
+        counts = stochastic.count_citations(ensemble)
+        x0 = float(ensemble.paths[0, 0])
+    else:
+        # Only the per-path counts are needed: stream the ensemble in blocks.
+        counts = []
+        for block in stochastic.ensemble_blocks(params, vol, config, args.method):
+            counts.append(stochastic.count_citations(block))
+        counts = np.concatenate(counts)
+        x0 = float(block.paths[0, 0])  # every path starts at u(0)
     payload = {
         "params": params.to_dict(),
         "vol": vol.to_dict(),
-        "config": {
-            "dt": config.dt,
-            "horizon": config.horizon,
-            "n_paths": config.n_paths,
-            "seed": config.seed,
-            "counting_mode": config.counting_mode,
-        },
+        "config": dataclasses.asdict(config),
         "method": args.method,
-        "x0": float(ensemble.paths[0, 0]),
+        "x0": x0,
         "count_summary": _summary_stats(counts),
     }
     if args.ensemble:
@@ -519,156 +521,15 @@ def _cmd_simulate(args):
     return payload, [args.fit] + vol_inputs, []
 
 
-def _ks_distance(sample: np.ndarray, cdf) -> float:
-    x = np.sort(sample)
-    f = cdf(x)
-    n = x.size
-    upper = np.arange(1, n + 1) / n
-    lower = np.arange(0, n) / n
-    return float(max(np.max(upper - f), np.max(f - lower)))
-
-
 def _cmd_verify(args):
-    from scipy.integrate import quad
-
     params = _load_params(args.fit)
     vol, vol_inputs = _load_vol(args)
     config = _sde_config(args)
-    ensemble = stochastic.simulate_ensemble(
-        params, vol, config, method="exact", threads=args.threads
-    )
-    grid = ensemble.grid
-    paths = ensemble.paths
-    n_paths = paths.shape[0]
-    checks = []
-
-    checks.append(
-        {
-            "name": "positivity",
-            "observed": float(paths.min()),
-            "bound": 0.0,
-            "pass": bool(paths.min() > 0),
-        }
-    )
-
-    for t in (1.0, 5.0, 10.0):
-        if t > config.horizon + 1e-9:
-            continue
-        idx = int(round(t / config.dt))
-        sample = paths[:, idx]
-        u_t = historyfit.eval_history(params, t)
-        se = float(sample.std(ddof=1)) / math.sqrt(n_paths)
-        gap = abs(float(sample.mean()) - u_t)
-        checks.append(
-            {
-                "name": f"mean_recovery_t{t:g}",
-                "observed": float(sample.mean()),
-                "expected": u_t,
-                "bound": 3.0 * se,
-                "pass": bool(gap <= 3.0 * se),
-            }
-        )
-
-    log_sample = np.log(paths[:, -1])
-    var_obs = float(log_sample.var(ddof=1))
-    var_expected = stochastic.log_variance(float(grid[-1]), vol)
-    checks.append(
-        {
-            "name": "log_variance_horizon",
-            "observed": var_obs,
-            "expected": var_expected,
-            "bound": 0.05,
-            "pass": bool(abs(var_obs / var_expected - 1.0) <= 0.05),
-        }
-    )
-
-    t_mid = min(5.0, config.horizon)
-    mass, _ = quad(
-        lambda x: stochastic.closed_form_density(x, t_mid, params, vol),
-        0.0,
-        np.inf,
-        limit=200,
-    )
-    checks.append(
-        {
-            "name": "density_normalization",
-            "observed": float(mass),
-            "expected": 1.0,
-            "bound": 1e-6,
-            "pass": bool(abs(mass - 1.0) <= 1e-6),
-        }
-    )
-
-    idx_mid = int(round(t_mid / config.dt))
-    u_mid = historyfit.eval_history(params, t_mid)
-    v_mid = stochastic.log_variance(t_mid, vol)
-
-    def lognormal_cdf(x):
-        return distfit.normal_cdf(
-            (np.log(x) - (math.log(u_mid) - 0.5 * v_mid)) / math.sqrt(v_mid)
-        )
-
-    ks = _ks_distance(paths[:, idx_mid], lognormal_cdf)
-    checks.append(
-        {
-            "name": f"ks_t{t_mid:g}",
-            "observed": ks,
-            "bound": 0.02,
-            "pass": bool(ks < 0.02),
-        }
-    )
-
-    counts = stochastic.count_citations(ensemble)
-    try:
-        series = distfit.make_quantile_series(counts.tolist())
-        lognorm = distfit.fit_lognormal_quantile(series)
-        checks.append(
-            {
-                "name": "lognormal_law_counts",
-                "observed": lognorm.r2_adj,
-                "bound": 0.98,
-                "pass": bool(lognorm.r2_adj > 0.98),
-            }
-        )
-    except DataError as exc:
-        checks.append(
-            {
-                "name": "lognormal_law_counts",
-                "observed": None,
-                "bound": 0.98,
-                "pass": False,
-                "note": str(exc),
-            }
-        )
-
-    # Volatility asymptotics: early plateau and late power-law decay.
-    t_small, t_large = vol.s1 / 100.0, vol.s1 * 100.0
-    early = math.sqrt(vol.s2 / vol.s1) * (1.0 - t_small / (2.0 * vol.s1))
-    late = math.sqrt(vol.s2 / t_large)
-    b_small = stochastic.beta_star(t_small, vol)
-    b_large = stochastic.beta_star(t_large, vol)
-    checks.append(
-        {
-            "name": "beta_star_asymptotics",
-            "observed": [b_small, b_large],
-            "expected": [early, late],
-            "bound": 0.01,
-            "pass": bool(
-                abs(b_small / early - 1.0) <= 0.01 and abs(b_large / late - 1.0) <= 0.01
-            ),
-        }
-    )
-
+    checks = stochastic.verify_ensemble(params, vol, config)
     payload = {
         "params": params.to_dict(),
         "vol": vol.to_dict(),
-        "config": {
-            "dt": config.dt,
-            "horizon": config.horizon,
-            "n_paths": config.n_paths,
-            "seed": config.seed,
-            "counting_mode": config.counting_mode,
-        },
+        "config": dataclasses.asdict(config),
         "checks": checks,
         "overall_pass": all(c["pass"] for c in checks),
     }
@@ -864,11 +725,32 @@ def _add_vol_flags(p):
     p.add_argument("--s2", type=float, help="volatility scale (with --s1)")
 
 
+def _seed(text: str) -> int:
+    # Each path's Philox key holds the seed as one uint64 word.
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"seed must be an integer, got {text!r}")
+    if not 0 <= value < 2**64:
+        raise argparse.ArgumentTypeError(f"seed must lie in [0, 2**64), got {value}")
+    return value
+
+
+def _threads(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"threads must be an integer, got {text!r}")
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"threads must be >= 1, got {value}")
+    return value
+
+
 def _add_sde_flags(p):
     p.add_argument("--dt", type=float, default=0.01, help="grid step in years (default 0.01)")
     p.add_argument("--horizon", type=float, default=10.0, help="simulation horizon in years (default 10)")
     p.add_argument("--paths", type=int, default=1000, help="number of paths (default 1000)")
-    p.add_argument("--seed", type=int, default=0, help="RNG seed (default 0)")
+    p.add_argument("--seed", type=_seed, default=0, help="RNG seed in [0, 2**64) (default 0)")
     p.add_argument(
         "--counting",
         choices=stochastic.COUNTING_MODES,
@@ -877,8 +759,9 @@ def _add_sde_flags(p):
     )
     p.add_argument(
         "--threads",
-        type=int,
-        help="worker threads (default: CITEDYN_THREADS or all cores); results are identical either way",
+        type=_threads,
+        help="validated for compatibility (>= 1, as is CITEDYN_THREADS); the simulation "
+        "runs on one thread and no longer depends on it",
     )
 
 

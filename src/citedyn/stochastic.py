@@ -16,9 +16,14 @@ profile exactly at every grid point, for any step size. An Euler-Maruyama
 discretization of the same dynamics is available for comparison; it has
 O(dt) weak error and does not preserve positivity.
 
-Every path owns a counter-based generator keyed by (seed, path index), so
-ensembles are reproducible bit for bit no matter how the work is split
-across threads.
+Every path owns a counter-based stream keyed by (seed, path index), so
+ensembles are reproducible bit for bit however the paths are split: one
+vectorized kernel simulates them BLOCK_PATHS at a time, ensemble_blocks
+streams them block by block to consumers that need only per-path totals
+or a few time columns (the `simulate` count summary, verify_ensemble),
+and any range of paths reproduces the matching rows of the full
+ensemble. The kernel is serial; `threads` and CITEDYN_THREADS are
+validated but no longer change the work.
 """
 
 from __future__ import annotations
@@ -26,12 +31,13 @@ from __future__ import annotations
 import csv
 import math
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from typing import Iterator
 
 import numpy as np
 from scipy.optimize import least_squares
 
+from . import distfit
 from .errors import (
     ConvergenceError,
     DataError,
@@ -52,6 +58,8 @@ __all__ = [
     "beta_star",
     "log_variance",
     "simulate_ensemble",
+    "ensemble_blocks",
+    "verify_ensemble",
     "closed_form_density",
     "count_citations",
     "expected_log_factor",
@@ -61,6 +69,10 @@ __all__ = [
 ]
 
 COUNTING_MODES = ("integral-floor", "yearly-floor-sum")
+
+# Paths per streamed block: ensemble_blocks' unit, and the rows of normals
+# simulate_ensemble draws at a time.
+BLOCK_PATHS = 256
 
 # s1 landing outside this window after the polish means the volatility
 # model is unidentified on the given series.
@@ -234,8 +246,15 @@ class SdeConfig:
             )
         if self.n_paths < 1:
             raise DomainError(f"n_paths must be >= 1, got {self.n_paths}")
-        if not (isinstance(self.seed, int) and self.seed >= 0):
-            raise DomainError(f"seed must be a non-negative integer, got {self.seed!r}")
+        # The seed is one word of each path's uint64 Philox key.
+        if not (
+            isinstance(self.seed, int)
+            and not isinstance(self.seed, bool)
+            and 0 <= self.seed < 2**64
+        ):
+            raise DomainError(
+                f"seed must be an integer in [0, 2**64), got {self.seed!r}"
+            )
         if self.counting_mode not in COUNTING_MODES:
             raise DomainError(
                 f"counting_mode must be one of {COUNTING_MODES}, got {self.counting_mode!r}"
@@ -259,6 +278,9 @@ class PathEnsemble:
 
 
 def _resolve_threads(threads: int | None) -> int:
+    # Validates --threads / CITEDYN_THREADS. The kernel is serial, so the
+    # count no longer changes the work; it is still returned for callers
+    # that report it.
     if threads is not None:
         if threads < 1:
             raise DomainError(f"threads must be >= 1, got {threads}")
@@ -275,11 +297,18 @@ def _resolve_threads(threads: int | None) -> int:
     return os.cpu_count() or 1
 
 
-def _path_generator(seed: int, index: int) -> np.random.Generator:
-    # Counter-based stream per path: identical draws for path k no matter
-    # which thread runs it or how many paths surround it.
-    key = np.array([seed, index], dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(key=key))
+def _stream_state(seed: int, index: int) -> dict:
+    # The state of a fresh Philox(key=[seed, index]): counter 0, buffer
+    # empty. Re-keying one generator this way gives path k the same
+    # counter-based stream as constructing its own, at a fraction of the cost.
+    return {
+        "bit_generator": "Philox",
+        "state": {"counter": [0, 0, 0, 0], "key": [seed, index]},
+        "buffer": [0, 0, 0, 0],
+        "buffer_pos": 4,
+        "has_uint32": 0,
+        "uinteger": 0,
+    }
 
 
 def simulate_ensemble(
@@ -288,17 +317,33 @@ def simulate_ensemble(
     config: SdeConfig,
     method: str = "exact",
     threads: int | None = None,
+    *,
+    paths: range | None = None,
 ) -> PathEnsemble:
     """Simulate an ensemble of citation-rate paths started at X(0) = u(0).
 
     method "exact" uses the closed-form log increments (mean and
     log-variance exact at all grid nodes); "euler" is the plain
-    Euler-Maruyama step on X itself. threads=None takes the count from
-    CITEDYN_THREADS, falling back to the machine's CPU count; the result
-    is identical for every choice.
+    Euler-Maruyama step on X itself. paths selects which of the
+    config's n_paths to simulate (default: all of them); path k draws
+    from its own (seed, k) stream, so any selection reproduces the
+    matching rows of the full ensemble bit for bit. threads (or
+    CITEDYN_THREADS) is validated but does not change the work.
     """
     if method not in ("exact", "euler"):
         raise DomainError(f"method must be 'exact' or 'euler', got {method!r}")
+    _resolve_threads(threads)
+    if paths is None:
+        paths = range(config.n_paths)
+    elif not (
+        isinstance(paths, range)
+        and len(paths) > 0
+        and 0 <= min(paths[0], paths[-1])
+        and max(paths[0], paths[-1]) < config.n_paths
+    ):
+        raise DomainError(
+            f"paths must be a non-empty range within [0, {config.n_paths}), got {paths!r}"
+        )
     n_steps = config.n_steps
     grid = np.arange(n_steps + 1, dtype=float) * config.dt
     u = np.atleast_1d(eval_history(params, grid))
@@ -317,37 +362,53 @@ def simulate_ensemble(
         ratio = u[1:] / u[:-1]
         sigma = beta_star(grid[:-1], vol) * math.sqrt(config.dt)
 
-    paths = np.empty((config.n_paths, n_steps + 1))
-
-    def run_block(block: range) -> None:
-        for idx in block:
-            z = _path_generator(config.seed, idx).standard_normal(n_steps)
-            if method == "exact":
-                y = math.log(x0) + np.cumsum(drift + sigma * z)
-                paths[idx, 0] = x0
-                paths[idx, 1:] = np.exp(y)
-            else:
-                x = np.empty(n_steps + 1)
-                x[0] = x0
-                for i in range(n_steps):
-                    x[i + 1] = x[i] * (ratio[i] + sigma[i] * z[i])
-                paths[idx] = x
-
-    n_threads = min(_resolve_threads(threads), config.n_paths)
-    if n_threads == 1:
-        run_block(range(config.n_paths))
-    else:
-        chunk = math.ceil(config.n_paths / n_threads)
-        blocks = [
-            range(s, min(s + chunk, config.n_paths))
-            for s in range(0, config.n_paths, chunk)
-        ]
-        with ThreadPoolExecutor(max_workers=n_threads) as pool:
-            list(pool.map(run_block, blocks))
+    x = np.empty((len(paths), n_steps + 1))
+    x[:, 0] = x0
+    bitgen = np.random.Philox(key=0)
+    gen = np.random.Generator(bitgen)
+    z = np.empty((min(BLOCK_PATHS, len(paths)), n_steps))
+    for lo in range(0, len(paths), BLOCK_PATHS):
+        block = paths[lo : lo + BLOCK_PATHS]
+        zb = z[: len(block)]
+        for row, k in enumerate(block):
+            bitgen.state = _stream_state(config.seed, k)
+            gen.standard_normal(out=zb[row])
+        xb = x[lo : lo + len(block)]
+        zb *= sigma
+        if method == "exact":
+            # y_k = ln x0 + sum of (drift + sigma z) up to step k, per path
+            zb += drift
+            np.cumsum(zb, axis=1, out=zb)
+            zb += math.log(x0)
+            np.exp(zb, out=xb[:, 1:])
+        else:
+            # x_{i+1} = x_i (ratio_i + sigma_i z_i): a running product
+            # seeded with x0, multiplied in the same order step by step
+            np.add(zb, ratio, out=xb[:, 1:])
+            np.cumprod(xb, axis=1, out=xb)
 
     return PathEnsemble(
-        grid=grid, paths=paths, params=params, vol=vol, config=config, method=method
+        grid=grid, paths=x, params=params, vol=vol, config=config, method=method
     )
+
+
+def ensemble_blocks(
+    params: HistoryParams,
+    vol: VolatilityFit,
+    config: SdeConfig,
+    method: str = "exact",
+) -> Iterator[PathEnsemble]:
+    """The config's ensemble as consecutive blocks of at most BLOCK_PATHS paths.
+
+    Concatenating the blocks' paths gives simulate_ensemble's matrix bit
+    for bit, so a consumer that needs only per-path reductions or a few
+    time columns never holds the whole ensemble.
+    """
+    for lo in range(0, config.n_paths, BLOCK_PATHS):
+        block = range(lo, min(lo + BLOCK_PATHS, config.n_paths))
+        # Looked up as a module global, so a wrapper installed on
+        # stochastic.simulate_ensemble (a tracer, a test) sees every block.
+        yield simulate_ensemble(params, vol, config, method, paths=block)
 
 
 def closed_form_density(x, t: float, params: HistoryParams, vol: VolatilityFit):
@@ -393,6 +454,153 @@ def count_citations(ensemble: PathEnsemble, mode: str | None = None) -> np.ndarr
     years = math.floor(ensemble.config.horizon + 1e-9)
     idx = [y * per_year for y in range(years)]
     return np.floor(ensemble.paths[:, idx]).sum(axis=1).astype(np.int64)
+
+
+def _ks_distance(sample: np.ndarray, cdf) -> float:
+    x = np.sort(sample)
+    f = cdf(x)
+    n = x.size
+    upper = np.arange(1, n + 1) / n
+    lower = np.arange(0, n) / n
+    return float(max(np.max(upper - f), np.max(f - lower)))
+
+
+def verify_ensemble(
+    params: HistoryParams,
+    vol: VolatilityFit,
+    config: SdeConfig,
+) -> list[dict]:
+    """Property checks of the exact sampler against the closed forms.
+
+    Each check is a dict with name, observed, bound, pass and, where there
+    is one, expected: positivity, the mean at t = 1, 5 and 10 (those within
+    the horizon) against u(t) within 3 standard errors, the log-variance at
+    the horizon within 5%, the normalization of the closed-form density and
+    the Kolmogorov-Smirnov distance of X(t_mid) from it (t_mid = min(5,
+    horizon)), the lognormal law of the citation counts, and the volatility
+    asymptotics. A failed count fit adds a note and observed None. The
+    ensemble is streamed in blocks; only the per-path counts and the few
+    time columns the checks read are kept.
+    """
+    # Imported here: it adds about 50 ms to every command that loads citedyn.
+    from scipy.integrate import quad
+
+    n_steps = config.n_steps
+    mean_ts = [t for t in (1.0, 5.0, 10.0) if t <= config.horizon + 1e-9]
+    t_mid = min(5.0, config.horizon)
+    cols = sorted(
+        {int(round(t / config.dt)) for t in mean_ts + [t_mid]} | {n_steps}
+    )
+    low = math.inf
+    kept_blocks, count_blocks = [], []
+    for block in ensemble_blocks(params, vol, config, "exact"):
+        low = min(low, float(block.paths.min()))
+        kept_blocks.append(block.paths[:, cols])  # a copy: the block is freed
+        count_blocks.append(count_citations(block))
+    kept = np.concatenate(kept_blocks)
+    counts = np.concatenate(count_blocks)
+
+    def column(idx: int) -> np.ndarray:
+        return kept[:, cols.index(idx)]
+
+    checks = [
+        {"name": "positivity", "observed": low, "bound": 0.0, "pass": bool(low > 0)}
+    ]
+
+    for t in mean_ts:
+        sample = column(int(round(t / config.dt)))
+        u_t = eval_history(params, t)
+        se = float(sample.std(ddof=1)) / math.sqrt(config.n_paths)
+        gap = abs(float(sample.mean()) - u_t)
+        checks.append(
+            {
+                "name": f"mean_recovery_t{t:g}",
+                "observed": float(sample.mean()),
+                "expected": u_t,
+                "bound": 3.0 * se,
+                "pass": bool(gap <= 3.0 * se),
+            }
+        )
+
+    log_sample = np.log(column(n_steps))
+    var_obs = float(log_sample.var(ddof=1))
+    var_expected = log_variance(float(block.grid[-1]), vol)
+    checks.append(
+        {
+            "name": "log_variance_horizon",
+            "observed": var_obs,
+            "expected": var_expected,
+            "bound": 0.05,
+            "pass": bool(abs(var_obs / var_expected - 1.0) <= 0.05),
+        }
+    )
+
+    mass, _ = quad(
+        lambda x: closed_form_density(x, t_mid, params, vol), 0.0, np.inf, limit=200
+    )
+    checks.append(
+        {
+            "name": "density_normalization",
+            "observed": float(mass),
+            "expected": 1.0,
+            "bound": 1e-6,
+            "pass": bool(abs(mass - 1.0) <= 1e-6),
+        }
+    )
+
+    u_mid = eval_history(params, t_mid)
+    v_mid = log_variance(t_mid, vol)
+
+    def lognormal_cdf(x):
+        return distfit.normal_cdf(
+            (np.log(x) - (math.log(u_mid) - 0.5 * v_mid)) / math.sqrt(v_mid)
+        )
+
+    ks = _ks_distance(column(int(round(t_mid / config.dt))), lognormal_cdf)
+    checks.append(
+        {"name": f"ks_t{t_mid:g}", "observed": ks, "bound": 0.02, "pass": bool(ks < 0.02)}
+    )
+
+    try:
+        series = distfit.make_quantile_series(counts.tolist())
+        lognorm = distfit.fit_lognormal_quantile(series)
+        checks.append(
+            {
+                "name": "lognormal_law_counts",
+                "observed": lognorm.r2_adj,
+                "bound": 0.98,
+                "pass": bool(lognorm.r2_adj > 0.98),
+            }
+        )
+    except DataError as exc:
+        checks.append(
+            {
+                "name": "lognormal_law_counts",
+                "observed": None,
+                "bound": 0.98,
+                "pass": False,
+                "note": str(exc),
+            }
+        )
+
+    # Volatility asymptotics: early plateau and late power-law decay.
+    t_small, t_large = vol.s1 / 100.0, vol.s1 * 100.0
+    early = math.sqrt(vol.s2 / vol.s1) * (1.0 - t_small / (2.0 * vol.s1))
+    late = math.sqrt(vol.s2 / t_large)
+    b_small = beta_star(t_small, vol)
+    b_large = beta_star(t_large, vol)
+    checks.append(
+        {
+            "name": "beta_star_asymptotics",
+            "observed": [b_small, b_large],
+            "expected": [early, late],
+            "bound": 0.01,
+            "pass": bool(
+                abs(b_small / early - 1.0) <= 0.01 and abs(b_large / late - 1.0) <= 0.01
+            ),
+        }
+    )
+    return checks
 
 
 # --- submission-timing model ------------------------------------------------

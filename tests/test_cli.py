@@ -9,7 +9,7 @@ import sys
 import numpy as np
 import pytest
 
-from citedyn import corpus, gamma, historyfit
+from citedyn import corpus, gamma, historyfit, stochastic
 from citedyn.cli import PlotSeries, _json_safe, _parse_number_list, emit_plot, run_command
 from citedyn.errors import UsageError
 
@@ -463,6 +463,74 @@ def test_verify_reports_overall_pass(tmp_path, params_json):
     names = {c["name"] for c in payload["checks"]}
     assert {"positivity", "density_normalization", "ks_t5", "lognormal_law_counts"} <= names
     assert all(c["pass"] for c in payload["checks"])
+
+
+@pytest.mark.parametrize(
+    "flag, value, message",
+    [
+        ("--seed", str(2**64), "seed must lie in [0, 2**64), got 18446744073709551616"),
+        ("--seed", "-1", "seed must lie in [0, 2**64), got -1"),
+        ("--threads", "0", "threads must be >= 1, got 0"),
+    ],
+)
+@pytest.mark.parametrize("command", ["simulate", "verify"])
+def test_sde_flag_out_of_range_is_a_usage_error(tmp_path, params_json, capsys, command, flag, value, message):
+    out = tmp_path / "r.json"
+    code = run_command(
+        [command, "--fit", str(params_json), "--s1", "0.0281", "--s2", "0.2", flag, value]
+        + ["--out", str(out)]
+    )
+    assert code == 1
+    assert f"error: argument {flag}: {message}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["simulate", "verify"])
+def test_thread_env_is_validated_when_streaming(tmp_path, params_json, capsys, monkeypatch, command):
+    monkeypatch.setenv("CITEDYN_THREADS", "zero")
+    code = run_command(
+        [command, "--fit", str(params_json), "--s1", "0.0281", "--s2", "0.2"]
+        + SIM_ARGS
+        + ["--out", str(tmp_path / "r.json")]
+    )
+    assert code == 2
+    assert "error: CITEDYN_THREADS must be an integer, got 'zero'" in capsys.readouterr().err
+
+
+def test_streamed_commands_never_hold_the_whole_ensemble(tmp_path, params_json, monkeypatch):
+    shapes = []
+    simulate_ensemble = stochastic.simulate_ensemble
+
+    def record(*args, **kwargs):
+        ensemble = simulate_ensemble(*args, **kwargs)
+        shapes.append(ensemble.paths.shape)
+        return ensemble
+
+    monkeypatch.setattr(stochastic, "simulate_ensemble", record)
+    n_paths = 2 * stochastic.BLOCK_PATHS + 88
+    base = ["--fit", str(params_json), "--s1", "0.0281", "--s2", "0.2", "--dt", "0.5",
+            "--horizon", "10", "--paths", str(n_paths), "--seed", "4"]
+    payloads = {}
+    for tag, argv in [
+        ("verify", ["verify", *base]),
+        ("streamed", ["simulate", *base]),
+        ("full", ["simulate", *base, "--ensemble", str(tmp_path / "paths.csv")]),
+    ]:
+        shapes.clear()
+        out = tmp_path / f"{tag}.json"
+        assert run_command(argv + ["--out", str(out)]) == 0
+        payloads[tag] = read_envelope(out)["payload"]
+        if tag == "full":
+            assert shapes == [(n_paths, 21)]
+        else:
+            assert max(rows for rows, _ in shapes) <= stochastic.BLOCK_PATHS
+            assert sum(rows for rows, _ in shapes) == n_paths
+    with open(tmp_path / "paths.csv", newline="") as fh:
+        assert sum(1 for _ in fh) == 1 + n_paths * 21
+    for key in ("count_summary", "x0", "config"):
+        assert payloads["streamed"][key] == payloads["full"][key]
+    assert list(payloads["verify"]["config"]) == ["dt", "horizon", "n_paths", "seed", "counting_mode"]
+    assert payloads["verify"]["config"] == payloads["full"]["config"]
 
 
 # --- trend ------------------------------------------------------------------------------

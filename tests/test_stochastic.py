@@ -1,10 +1,13 @@
 """Volatility fitting, path simulation, counting, and the timing CLT."""
 
 import csv
+import functools
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from citedyn.errors import (
@@ -15,18 +18,21 @@ from citedyn.errors import (
 )
 from citedyn.historyfit import HistoryParams, eval_history
 from citedyn.stochastic import (
+    BLOCK_PATHS,
     PathEnsemble,
     SdeConfig,
     TimingSimConfig,
     beta_star,
     closed_form_density,
     count_citations,
+    ensemble_blocks,
     expected_log_factor,
     fit_volatility,
     log_variance,
     simulate_ensemble,
     simulate_timing_clt,
     variance_log_factor,
+    verify_ensemble,
     volatility,
     write_ensemble_csv,
 )
@@ -189,6 +195,137 @@ def test_euler_method_close_but_distinct():
 def test_unknown_method_rejected():
     with pytest.raises(DomainError):
         simulate(n_paths=2, method="milstein")
+
+
+def test_seed_must_fit_the_philox_key():
+    for bad in (2**64, 2**70, -1, True, False, 1.0):
+        with pytest.raises(DomainError):
+            SdeConfig(dt=0.5, horizon=2.0, n_paths=3, seed=bad)
+    config = SdeConfig(dt=0.5, horizon=2.0, n_paths=3, seed=2**64 - 1)
+    ens = simulate_ensemble(ASTRO, VOL, config)
+    assert np.array_equal(ens.paths[2:], scalar_reference(config, "exact", rows=[2]))
+
+
+# --- block kernel -----------------------------------------------------------------
+
+
+def scalar_reference(config, method, rows=None):
+    """The per-path scalar sampler the block kernel replaced: a fresh
+    Philox(key=[seed, k]) per path and, for Euler, one step at a time."""
+    n_steps = config.n_steps
+    grid = np.arange(n_steps + 1, dtype=float) * config.dt
+    u = eval_history(ASTRO, grid)
+    x0 = float(u[0])
+    if method == "exact":
+        dln_u = np.diff(np.log(u))
+        i_beta = VOL.s2 * np.log((grid[1:] + VOL.s1) / (grid[:-1] + VOL.s1))
+        drift = dln_u - 0.5 * i_beta
+        sigma = np.sqrt(i_beta)
+    else:
+        ratio = u[1:] / u[:-1]
+        sigma = beta_star(grid[:-1], VOL) * math.sqrt(config.dt)
+    rows = range(config.n_paths) if rows is None else rows
+    paths = np.empty((len(rows), n_steps + 1))
+    for out, k in enumerate(rows):
+        key = np.array([config.seed, k], dtype=np.uint64)
+        z = np.random.Generator(np.random.Philox(key=key)).standard_normal(n_steps)
+        if method == "exact":
+            paths[out, 0] = x0
+            paths[out, 1:] = np.exp(math.log(x0) + np.cumsum(drift + sigma * z))
+        else:
+            x = np.empty(n_steps + 1)
+            x[0] = x0
+            for i in range(n_steps):
+                x[i + 1] = x[i] * (ratio[i] + sigma[i] * z[i])
+            paths[out] = x
+    return paths
+
+
+@pytest.mark.parametrize("method", ["exact", "euler"])
+def test_block_kernel_matches_the_scalar_sampler(method):
+    config = SdeConfig(dt=0.1, horizon=5.0, n_paths=BLOCK_PATHS + 44, seed=5)
+    ens = simulate_ensemble(ASTRO, VOL, config, method=method)
+    assert np.array_equal(ens.paths, scalar_reference(config, method))
+
+
+BLOCK_CONFIG = dict(dt=0.1, horizon=5.0, seed=3)
+
+
+@pytest.mark.parametrize("method", ["exact", "euler"])
+@pytest.mark.parametrize("n_paths", [1, BLOCK_PATHS - 1, BLOCK_PATHS, BLOCK_PATHS + 1, 1000])
+def test_blocks_partition_the_ensemble(n_paths, method):
+    config = SdeConfig(n_paths=n_paths, **BLOCK_CONFIG)
+    full = simulate_ensemble(ASTRO, VOL, config, method=method)
+    blocks = list(ensemble_blocks(ASTRO, VOL, config, method))
+    assert [b.paths.shape[0] for b in blocks] == [
+        min(BLOCK_PATHS, n_paths - lo) for lo in range(0, n_paths, BLOCK_PATHS)
+    ]
+    assert all(b.method == method and b.config == config for b in blocks)
+    assert np.array_equal(np.concatenate([b.paths for b in blocks]), full.paths)
+    for mode in ("integral-floor", "yearly-floor-sum"):
+        streamed = np.concatenate([count_citations(b, mode) for b in blocks])
+        assert np.array_equal(streamed, count_citations(full, mode))
+
+
+@functools.cache
+def full_paths(method):
+    config = SdeConfig(n_paths=600, **BLOCK_CONFIG)
+    return simulate_ensemble(ASTRO, VOL, config, method=method).paths
+
+
+@given(
+    method=st.sampled_from(["exact", "euler"]),
+    a=st.integers(0, 599),
+    length=st.integers(1, 600),
+    step=st.integers(1, 3),
+)
+def test_any_path_range_reproduces_its_rows(method, a, length, step):
+    config = SdeConfig(n_paths=600, **BLOCK_CONFIG)
+    rows = range(a, min(a + length, 600), step)
+    part = simulate_ensemble(ASTRO, VOL, config, method=method, paths=rows)
+    assert np.array_equal(part.paths, full_paths(method)[a : a + length : step])
+
+
+def test_path_range_must_lie_in_the_ensemble():
+    config = SdeConfig(n_paths=10, **BLOCK_CONFIG)
+    for bad in (range(0), range(-1, 3), range(5, 11), [0, 1], slice(0, 2)):
+        with pytest.raises(DomainError):
+            simulate_ensemble(ASTRO, VOL, config, paths=bad)
+    back = simulate_ensemble(ASTRO, VOL, config, paths=range(9, -1, -1))
+    full = simulate_ensemble(ASTRO, VOL, config)
+    assert np.array_equal(back.paths, full.paths[::-1])
+
+
+def test_verify_ensemble_reads_the_whole_ensemble():
+    config = SdeConfig(dt=0.5, horizon=10.0, n_paths=BLOCK_PATHS * 3 + 7, seed=2)
+    checks = {c["name"]: c for c in verify_ensemble(ASTRO, VOL, config)}
+    assert list(checks) == [
+        "positivity",
+        "mean_recovery_t1",
+        "mean_recovery_t5",
+        "mean_recovery_t10",
+        "log_variance_horizon",
+        "density_normalization",
+        "ks_t5",
+        "lognormal_law_counts",
+        "beta_star_asymptotics",
+    ]
+    paths = simulate_ensemble(ASTRO, VOL, config).paths
+    assert checks["positivity"]["observed"] == paths.min()
+    for t in (1, 5, 10):
+        col = paths[:, 2 * t]
+        assert checks[f"mean_recovery_t{t}"]["observed"] == pytest.approx(col.mean(), rel=1e-13)
+        se = col.std(ddof=1) / math.sqrt(config.n_paths)
+        assert checks[f"mean_recovery_t{t}"]["bound"] == pytest.approx(3 * se, rel=1e-13)
+    var = np.log(paths[:, -1]).var(ddof=1)
+    assert checks["log_variance_horizon"]["observed"] == pytest.approx(var, rel=1e-13)
+
+
+def test_verify_ensemble_on_a_short_horizon():
+    config = SdeConfig(dt=0.25, horizon=3.0, n_paths=300, seed=1)
+    names = [c["name"] for c in verify_ensemble(ASTRO, VOL, config)]
+    assert "mean_recovery_t1" in names and "ks_t3" in names
+    assert "mean_recovery_t5" not in names and "mean_recovery_t10" not in names
 
 
 # --- closed-form marginal -----------------------------------------------------------
