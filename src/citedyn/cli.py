@@ -34,6 +34,7 @@ from .errors import (
     CitedynError,
     ConvergenceError,
     DataError,
+    DomainError,
     InsufficientDataError,
     UsageError,
 )
@@ -153,12 +154,15 @@ def _load_json(path) -> dict:
     return data
 
 
+def _payload(data: dict) -> dict:
+    """A result envelope's payload object, or data itself when it is bare."""
+    payload = data.get("payload")
+    return payload if isinstance(payload, dict) else data
+
+
 def _load_params(path) -> historyfit.HistoryParams:
     """History parameters from a fit envelope or a bare parameter object."""
-    data = _load_json(path)
-    candidate = data
-    if isinstance(data.get("payload"), dict):
-        candidate = data["payload"]
+    candidate = _payload(_load_json(path))
     if isinstance(candidate.get("params"), dict):
         candidate = candidate["params"]
     try:
@@ -174,10 +178,7 @@ def _load_vol(args) -> tuple[stochastic.VolatilityFit, list]:
     if sum(sources) != 1:
         raise UsageError("give exactly one of --vol, --vol-series, or --s1/--s2")
     if args.vol is not None:
-        data = _load_json(args.vol)
-        candidate = data
-        if isinstance(data.get("payload"), dict):
-            candidate = data["payload"]
+        candidate = _payload(_load_json(args.vol))
         if isinstance(candidate.get("vol"), dict):
             candidate = candidate["vol"]
         try:
@@ -242,13 +243,17 @@ def _fit_payload(fit: historyfit.HistoryFit) -> dict:
 
 
 def _sde_config(args) -> stochastic.SdeConfig:
-    return stochastic.SdeConfig(
-        dt=args.dt,
-        horizon=args.horizon,
-        n_paths=args.paths,
-        seed=args.seed,
-        counting_mode=args.counting,
-    )
+    # SdeConfig owns the checks; a value it refuses is a bad flag.
+    try:
+        return stochastic.SdeConfig(
+            dt=args.dt,
+            horizon=args.horizon,
+            n_paths=args.paths,
+            seed=args.seed,
+            counting_mode=args.counting,
+        )
+    except DomainError as exc:
+        raise UsageError(str(exc)) from exc
 
 
 # --- subcommand handlers ----------------------------------------------------
@@ -285,14 +290,7 @@ def _cmd_ingest(args):
     if args.percentiles:
         levels = _parse_number_list(args.percentiles, "--percentiles")
         payload["percentiles"] = {
-            d: [
-                {
-                    "p": s.p,
-                    "threshold": s.threshold,
-                    "n_below": s.n_below,
-                }
-                for s in (corpus.percentile_summary(corp, d, p) for p in levels)
-            ]
+            d: [dataclasses.asdict(corpus.percentile_summary(corp, d, p)) for p in levels]
             for d in disciplines
         }
     if args.echo:
@@ -385,15 +383,12 @@ def _cmd_metrics(args):
     metrics = historyfit.derive_metrics(params)
     payload = {
         "params": params.to_dict(),
-        "metrics": metrics.to_dict(),
+        "metrics": dataclasses.asdict(metrics),
         "splits": [],
     }
     if args.horizons:
         for T in _parse_number_list(args.horizons, "--horizons"):
-            s = historyfit.cumulative_split(params, T)
-            payload["splits"].append(
-                {"T": s.T, "F": s.F, "G": s.G, "H": s.H, "rho": s.rho}
-            )
+            payload["splits"].append(dataclasses.asdict(historyfit.cumulative_split(params, T)))
     return payload, [args.fit], []
 
 
@@ -411,16 +406,7 @@ def _cmd_trend(args):
     payload = {
         "discipline": args.discipline,
         "percentile_cap": args.cap if args.cap is not None else DEFAULT_CAP,
-        "points": [
-            {
-                "dataset_year": p.dataset_year,
-                "s_rate": p.s_rate,
-                "r_rate": p.r_rate,
-                "i_rate": p.i_rate,
-                "converged": p.converged,
-            }
-            for p in points
-        ],
+        "points": [p._asdict() for p in points],
     }
     if args.csv:
         with open(args.csv, "w", newline="", encoding="utf-8") as fh:
@@ -475,9 +461,7 @@ def _cmd_reckoner(args):
     label = args.discipline
     if label is None:
         # Fall back to the discipline recorded in the fit envelope, if any.
-        data = _load_json(args.fit)
-        payload_part = data.get("payload") if isinstance(data.get("payload"), dict) else data
-        label = str(payload_part.get("discipline", "") or "")
+        label = str(_payload(_load_json(args.fit)).get("discipline", "") or "")
     reck = gamma.build_reckoner(params, c_levels, ages, discipline=label)
     payload = {
         "discipline": reck.discipline,
@@ -509,7 +493,7 @@ def _cmd_simulate(args):
         x0 = float(block.paths[0, 0])  # every path starts at u(0)
     payload = {
         "params": params.to_dict(),
-        "vol": vol.to_dict(),
+        "vol": dataclasses.asdict(vol),
         "config": dataclasses.asdict(config),
         "method": args.method,
         "x0": x0,
@@ -528,7 +512,7 @@ def _cmd_verify(args):
     checks = stochastic.verify_ensemble(params, vol, config)
     payload = {
         "params": params.to_dict(),
-        "vol": vol.to_dict(),
+        "vol": dataclasses.asdict(vol),
         "config": dataclasses.asdict(config),
         "checks": checks,
         "overall_pass": all(c["pass"] for c in checks),

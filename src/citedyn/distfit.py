@@ -9,9 +9,10 @@ quantile rank ``q`` of an observation:
 
 Both reduce to straight lines in the appropriate quantile coordinates, so
 each fit is an ordinary least-squares regression on transformed ranks. The
-normal CDF and its inverse are provided here at high accuracy because every
-other part of the pipeline (rank standardization, stochastic verification)
-leans on them.
+normal CDF and its inverse are scipy.special's ndtr and ndtri behind the
+package's scalar/array and DomainError contract; rank standardization and
+stochastic verification lean on them too, as they do on the mid-rank and
+adjusted-R^2 helpers defined here.
 """
 
 from __future__ import annotations
@@ -19,10 +20,10 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
-from scipy.special import erfc
+from scipy.special import ndtr, ndtri
 
 from .errors import (
     DataError,
@@ -37,111 +38,65 @@ __all__ = [
     "PowerLawFit",
     "normal_cdf",
     "normal_quantile",
+    "mid_ranks",
+    "adjusted_r2",
     "make_quantile_series",
     "fit_lognormal_quantile",
     "fit_power_law_quantile",
     "write_quantile_csv",
 ]
 
-_SQRT2 = math.sqrt(2.0)
-
-# Rational approximation to PhiInv (Acklam's coefficients). Accurate to
-# ~1.15e-9 relative on its own; one Newton step against the erfc-based CDF
-# below pushes the round-trip error under 1e-12 across [1e-8, 1 - 1e-8].
-_ACKLAM_A = (
-    -3.969683028665376e01,
-    2.209460984245205e02,
-    -2.759285104469687e02,
-    1.383577518672690e02,
-    -3.066479806614716e01,
-    2.506628277459239e00,
-)
-_ACKLAM_B = (
-    -5.447609879822406e01,
-    1.615858368580409e02,
-    -1.556989798598866e02,
-    6.680131188771972e01,
-    -1.328068155288572e01,
-)
-_ACKLAM_C = (
-    -7.784894002430293e-03,
-    -3.223964580411365e-01,
-    -2.400758277161838e00,
-    -2.549732539343734e00,
-    4.374664141464968e00,
-    2.938163982698783e00,
-)
-_ACKLAM_D = (
-    7.784695709041462e-03,
-    3.224671290700398e-01,
-    2.445134137142996e00,
-    3.754408661907416e00,
-)
-_ACKLAM_SPLIT = 0.02425
-
-
 def normal_cdf(x):
-    """Standard normal CDF, Phi(x), accurate to better than 1e-14.
+    """Standard normal CDF, Phi(x): scipy.special.ndtr.
 
-    Accepts a scalar or array; evaluated through the complementary error
-    function, which keeps full relative accuracy deep in the lower tail.
+    Accepts a scalar (returns a float) or an array (returns an array).
+    ndtr keeps full relative accuracy deep in the lower tail.
     """
-    return 0.5 * erfc(-np.asarray(x, dtype=float) / _SQRT2) if np.ndim(x) else float(
-        0.5 * erfc(-float(x) / _SQRT2)
-    )
-
-
-def _polyval(coeffs: Sequence[float], r):
-    out = np.zeros_like(r) + coeffs[0]
-    for c in coeffs[1:]:
-        out = out * r + c
-    return out
+    out = ndtr(np.asarray(x, dtype=float))
+    return out if np.ndim(x) else float(out)
 
 
 def normal_quantile(q):
-    """Inverse standard normal CDF, PhiInv(q), for q strictly inside (0, 1).
+    """Inverse standard normal CDF, PhiInv(q): scipy.special.ndtri.
 
     Args:
-        q: scalar or array of probabilities.
+        q: scalar or array of probabilities strictly inside (0, 1).
 
     Returns:
-        x with Phi(x) = q, satisfying |Phi(PhiInv(q)) - q| <= 1e-12 over
-        q in [1e-8, 1 - 1e-8].
+        x with Phi(x) = q (a float for scalar q), satisfying
+        |Phi(PhiInv(q)) - q| <= 1e-12 over q in [1e-8, 1 - 1e-8].
 
     Raises:
         DomainError: if any q lies outside the open interval (0, 1).
     """
-    scalar = np.ndim(q) == 0
-    qa = np.atleast_1d(np.asarray(q, dtype=float))
-    if np.any(~np.isfinite(qa)) or np.any(qa <= 0.0) or np.any(qa >= 1.0):
+    qa = np.asarray(q, dtype=float)
+    if not np.all((qa > 0.0) & (qa < 1.0)):
         raise DomainError(f"quantile argument must lie in (0, 1), got {q!r}")
+    x = ndtri(qa)
+    return x if np.ndim(q) else float(x)
 
-    x = np.empty_like(qa)
-    lo = qa < _ACKLAM_SPLIT
-    hi = qa > 1.0 - _ACKLAM_SPLIT
-    mid = ~(lo | hi)
 
-    if np.any(mid):
-        qm = qa[mid] - 0.5
-        r = qm * qm
-        x[mid] = (
-            _polyval(_ACKLAM_A, r)
-            * qm
-            / (_polyval(_ACKLAM_B, r) * r + 1.0)
-        )
-    if np.any(lo):
-        r = np.sqrt(-2.0 * np.log(qa[lo]))
-        x[lo] = _polyval(_ACKLAM_C, r) / (_polyval(_ACKLAM_D, r) * r + 1.0)
-    if np.any(hi):
-        r = np.sqrt(-2.0 * np.log(1.0 - qa[hi]))
-        x[hi] = -_polyval(_ACKLAM_C, r) / (_polyval(_ACKLAM_D, r) * r + 1.0)
+def mid_ranks(values) -> np.ndarray:
+    """Mid-distribution ranks (#{v' < v} + #{v' = v} / 2) / n, in input order.
 
-    # One Newton refinement against the erfc-based CDF.
-    err = 0.5 * erfc(-x / _SQRT2) - qa
-    pdf = np.exp(-0.5 * x * x) / math.sqrt(2.0 * math.pi)
-    x -= err / pdf
+    Every rank lies strictly inside (0, 1), and tied values share one rank.
+    """
+    values = np.asarray(values)
+    _, inverse, tied = np.unique(values, return_inverse=True, return_counts=True)
+    below = np.concatenate(([0], np.cumsum(tied)[:-1]))
+    return (below[inverse] + 0.5 * tied[inverse]) / values.size
 
-    return float(x[0]) if scalar else x
+
+def adjusted_r2(ssr: float, sst: float, n: int, n_params: int) -> float:
+    """1 - (ssr / (n - n_params)) / (sst / (n - 1)) for a fit of n points.
+
+    Reads 1.0 when there are no residual degrees of freedom or the
+    response carries no variance.
+    """
+    dof = n - n_params
+    if dof > 0 and sst > 0.0:
+        return 1.0 - (ssr / dof) / (sst / (n - 1))
+    return 1.0
 
 
 @dataclass(frozen=True)
@@ -243,13 +198,9 @@ def make_quantile_series(
             raise DataError("no nonzero citations remain after exclusion")
 
     c.sort()
-    n = c.size
-    values, counts = np.unique(c, return_counts=True)
-    below = np.concatenate(([0], np.cumsum(counts)[:-1]))
-    q_distinct = (below + 0.5 * counts) / n
-    q = np.repeat(q_distinct, counts)
-    y = np.log1p(c)
-    return QuantileSeries(y=y, q=q, n_total=int(n), zero_excluded=exclude_zero)
+    return QuantileSeries(
+        y=np.log1p(c), q=mid_ranks(c), n_total=int(c.size), zero_excluded=exclude_zero
+    )
 
 
 def _ols_line(x: np.ndarray, y: np.ndarray) -> tuple[float, float, float, float, float]:
@@ -270,11 +221,7 @@ def _ols_line(x: np.ndarray, y: np.ndarray) -> tuple[float, float, float, float,
     s2 = ssr / dof if dof > 0 else 0.0
     se_slope = math.sqrt(s2 / sxx)
     se_intercept = math.sqrt(s2 * (1.0 / n + xbar * xbar / sxx))
-    if sst > 0.0 and dof > 0:
-        r2_adj = 1.0 - (ssr / dof) / (sst / (n - 1))
-    else:
-        r2_adj = 1.0
-    return slope, intercept, se_slope, se_intercept, r2_adj
+    return slope, intercept, se_slope, se_intercept, adjusted_r2(ssr, sst, n, 2)
 
 
 def fit_lognormal_quantile(series: QuantileSeries) -> LognormalFit:

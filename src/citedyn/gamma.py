@@ -24,7 +24,7 @@ import numpy as np
 from scipy.special import betainc
 
 from .corpus import CitationCorpus
-from .distfit import normal_quantile
+from .distfit import mid_ranks, normal_quantile
 from .errors import (
     DataError,
     DegenerateDataError,
@@ -92,14 +92,6 @@ class GammaStarScore:
     gamma_star: float
 
 
-def _mid_ranks(values: np.ndarray) -> np.ndarray:
-    # Mid-distribution rank: fraction strictly below plus half the tied
-    # mass, aligned with the input order.
-    _, inverse, tied = np.unique(values, return_inverse=True, return_counts=True)
-    below = np.concatenate(([0], np.cumsum(tied)[:-1]))
-    return (below[inverse] + 0.5 * tied[inverse]) / values.size
-
-
 def gamma_star_scores(scores: Iterable[GammaScore]) -> list[GammaStarScore]:
     """Rank-normal scores from raw gamma values, grouped by discipline.
 
@@ -116,7 +108,7 @@ def gamma_star_scores(scores: Iterable[GammaScore]) -> list[GammaStarScore]:
     out: list[GammaStarScore | None] = [None] * len(scores)
     for indices in by_disc.values():
         gammas = np.array([scores[i].gamma for i in indices])
-        q = np.clip(_mid_ranks(gammas), RANK_CLAMP[0], RANK_CLAMP[1])
+        q = np.clip(mid_ranks(gammas), RANK_CLAMP[0], RANK_CLAMP[1])
         stars = normal_quantile(q)
         for i, qi, gi in zip(indices, q, stars):
             out[i] = GammaStarScore(

@@ -29,13 +29,20 @@ Derived per-discipline metrics:
     S = delta1 / delta2                      internal obsolescence rate
     R = B / u_peak,  I = 1 / R               retention and inflation rates
 
-where t_peak is the age at which the jump-decay component is largest
-(the lognormal mode shifted back by 1) and u_peak is the full curve,
-baseline included, evaluated there.
+where t_peak is the age at which the jump-decay component A f(t + 1) is
+largest and u_peak is the full curve, baseline included, evaluated there.
+The component is the lognormal density shifted back by 1, so its peak is
+the shifted mode in closed form,
+
+    t_peak = max(delta1 - 1, 0),
+
+at age 0 when mu < sigma^2 (the mode lies before the first shifted age)
+and at the true mode however late it falls: there is no search window.
 """
 
 from __future__ import annotations
 
+import csv
 import itertools
 import math
 from dataclasses import dataclass
@@ -45,7 +52,7 @@ import numpy as np
 from scipy.optimize import least_squares
 
 from .corpus import AgePanel
-from .distfit import normal_cdf
+from .distfit import adjusted_r2, normal_cdf
 from .errors import (
     ConvergenceError,
     DegenerateDataError,
@@ -87,9 +94,6 @@ N_PARAMS = 5
 MU_FLOOR = -3.0
 LN_A_MARGIN = 6.0
 STATUS_ABANDONED = -2   # least_squares status when the callback stops a start
-
-PEAK_WINDOW = (0.0, 50.0)   # search range for the component peak age
-PEAK_GRID_STEP = 0.025
 
 
 # --- model ------------------------------------------------------------------
@@ -164,21 +168,27 @@ class HistoryParams:
         )
 
 
-def eval_history(params: HistoryParams, t):
-    """Yearly citation rate u(t) at age t >= 0 (scalar or array).
+def _components(params: HistoryParams, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Jump-decay A f(t + 1) and baseline B tanh(lambda t) parts of u at ages t.
 
-    At t = 0 the sigmoid term is exactly 0 regardless of lambda. With
-    lambda_capped the sigmoid is the unit step 1{t > 0}.
+    At t = 0 the baseline is exactly 0 regardless of lambda. With
+    lambda_capped it is the unit step B 1{t > 0}.
     """
+    jump = params.A * _lognormal_density(t + 1.0, params.mu, params.sigma)
+    if params.lambda_capped:
+        base = params.B * (t > 0).astype(float)
+    else:
+        base = params.B * np.tanh(params.lam * t)
+    return jump, base
+
+
+def eval_history(params: HistoryParams, t):
+    """Yearly citation rate u(t) at age t >= 0 (scalar or array)."""
     scalar = np.ndim(t) == 0
     ta = np.atleast_1d(np.asarray(t, dtype=float))
     if np.any(ta < 0):
         raise DomainError(f"age must be non-negative, got {t!r}")
-    jump = params.A * _lognormal_density(ta + 1.0, params.mu, params.sigma)
-    if params.lambda_capped:
-        base = params.B * (ta > 0).astype(float)
-    else:
-        base = params.B * np.tanh(params.lam * ta)
+    jump, base = _components(params, ta)
     out = jump + base
     return float(out[0]) if scalar else out
 
@@ -259,8 +269,7 @@ def _jac_theta(theta: np.ndarray, t: np.ndarray) -> np.ndarray:
     a, sig, b, lam = math.exp(ln_a), math.exp(ln_sig), math.exp(ln_b), math.exp(ln_lam)
     tp1 = t + 1.0
     z = (np.log(tp1) - mu) / sig
-    f = np.exp(-0.5 * z * z) / (tp1 * sig * _SQRT_2PI)
-    af = a * f
+    af = a * _lognormal_density(tp1, mu, sig)
     cols = np.empty((t.size, N_PARAMS))
     cols[:, 0] = af                         # d/d lnA
     cols[:, 1] = af * z / sig               # d/d mu
@@ -433,10 +442,7 @@ def fit_history(panel: AgePanel, options: FitOptions | None = None) -> HistoryFi
     ssr = float(np.dot(resid_plain * w, resid_plain * w))
     sst = float(np.dot((u - u.mean()) * w, (u - u.mean()) * w))
     n = t.size
-    if n > N_PARAMS and sst > 0:
-        r2_adj = 1.0 - (ssr / (n - N_PARAMS)) / (sst / (n - 1))
-    else:
-        r2_adj = 1.0
+    r2_adj = adjusted_r2(ssr, sst, n, N_PARAMS)
 
     jac_o = _jac_original(theta, t) * w[:, None]
     s2 = ssr / (n - N_PARAMS) if n > N_PARAMS else 0.0
@@ -479,56 +485,6 @@ class DerivedMetrics:
     mode: float
     variance: float
 
-    def to_dict(self) -> dict:
-        return {
-            "u_peak": self.u_peak,
-            "t_peak": self.t_peak,
-            "delta1": self.delta1,
-            "delta2": self.delta2,
-            "s_rate": self.s_rate,
-            "r_rate": self.r_rate,
-            "i_rate": self.i_rate,
-            "mean": self.mean,
-            "median": self.median,
-            "mode": self.mode,
-            "variance": self.variance,
-        }
-
-
-def _component_peak_age(params: HistoryParams) -> float:
-    """Age maximizing the jump-decay component A*f(t+1) on PEAK_WINDOW.
-
-    Dense grid scan followed by golden-section refinement. Analytically
-    this is exp(mu - sigma^2) - 1 whenever that is non-negative; the
-    numerical route stays authoritative so the two can be cross-checked.
-    """
-    lo, hi = PEAK_WINDOW
-
-    def h(t):
-        return _lognormal_density(t + 1.0, params.mu, params.sigma)
-
-    grid = np.arange(lo, hi + PEAK_GRID_STEP, PEAK_GRID_STEP)
-    values = h(grid)
-    i = int(np.argmax(values))
-    a = grid[max(i - 1, 0)]
-    b = grid[min(i + 1, grid.size - 1)]
-
-    # Golden-section maximization on [a, b].
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    x1 = b - invphi * (b - a)
-    x2 = a + invphi * (b - a)
-    f1, f2 = h(x1), h(x2)
-    while b - a > 1e-12:
-        if f1 < f2:
-            a, x1, f1 = x1, x2, f2
-            x2 = a + invphi * (b - a)
-            f2 = h(x2)
-        else:
-            b, x2, f2 = x2, x1, f1
-            x1 = b - invphi * (b - a)
-            f1 = h(x1)
-    return float((a + b) / 2.0)
-
 
 def derive_metrics(fit: Union[HistoryFit, HistoryParams]) -> DerivedMetrics:
     """Metrics from a converged fit (or directly from a parameter set).
@@ -549,7 +505,7 @@ def derive_metrics(fit: Union[HistoryFit, HistoryParams]) -> DerivedMetrics:
     sig2 = params.sigma * params.sigma
     delta1 = math.exp(params.mu - sig2)
     delta2 = math.exp(params.mu) * (1.0 - math.exp(-sig2))
-    t_peak = _component_peak_age(params)
+    t_peak = max(delta1 - 1.0, 0.0)
     u_peak = eval_history(params, t_peak)
     r_rate = params.B / u_peak
     return DerivedMetrics(
@@ -635,16 +591,10 @@ def trend_metrics(panels) -> list[TrendPoint]:
 
 def write_curve_csv(params: HistoryParams, path, t_max: float = 20.0, step: float = 0.1) -> None:
     """Sample the fitted curve as `t,u_hat,f_component,g_component`."""
-    import csv as _csv
-
     t = np.arange(0.0, t_max + step / 2, step)
-    jump = params.A * _lognormal_density(t + 1.0, params.mu, params.sigma)
-    if params.lambda_capped:
-        base = params.B * (t > 0).astype(float)
-    else:
-        base = params.B * np.tanh(params.lam * t)
+    jump, base = _components(params, t)
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = _csv.writer(fh, lineterminator="\n")
+        writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["t", "u_hat", "f_component", "g_component"])
         for ti, fi, gi in zip(t, jump, base):
             writer.writerow([repr(float(ti)), repr(float(fi + gi)), repr(float(fi)), repr(float(gi))])

@@ -99,16 +99,6 @@ class VolatilityFit:
         if not self.s2 > 0:
             raise DomainError(f"s2 must be positive, got {self.s2}")
 
-    def to_dict(self) -> dict:
-        return {
-            "s1": self.s1,
-            "s2": self.s2,
-            "se_s1": self.se_s1,
-            "se_s2": self.se_s2,
-            "r2_adj": self.r2_adj,
-            "n": self.n,
-        }
-
     @classmethod
     def from_dict(cls, data: dict) -> "VolatilityFit":
         return cls(
@@ -210,10 +200,7 @@ def fit_volatility(m_series) -> VolatilityFit:
     cov = (ssr / dof if dof > 0 else 0.0) * np.linalg.pinv(J.T @ J)
     se = np.sqrt(np.clip(np.diag(cov), 0.0, None))
     sst = float(((m - m.mean()) ** 2).sum())
-    if dof > 0 and sst > 0:
-        r2_adj = 1.0 - (ssr / dof) / (sst / (n - 1))
-    else:
-        r2_adj = 1.0
+    r2_adj = distfit.adjusted_r2(ssr, sst, n, 2)
     return VolatilityFit(
         s1=s1, s2=s2, se_s1=float(se[0]), se_s2=float(se[1]), r2_adj=r2_adj, n=n
     )
@@ -671,20 +658,6 @@ class TimingCltReport:
     expected_mean_log: float
     var_log: float
     expected_var_log: float
-
-    def to_dict(self) -> dict:
-        return {
-            "n_events": self.n_events,
-            "n_samples": self.n_samples,
-            "skewness": self.skewness,
-            "excess_kurtosis": self.excess_kurtosis,
-            "jb_stat": self.jb_stat,
-            "jb_pvalue": self.jb_pvalue,
-            "mean_log": self.mean_log,
-            "expected_mean_log": self.expected_mean_log,
-            "var_log": self.var_log,
-            "expected_var_log": self.expected_var_log,
-        }
 
 
 def simulate_timing_clt(config: TimingSimConfig) -> TimingCltReport:

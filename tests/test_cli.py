@@ -299,6 +299,26 @@ def test_reckoner_matches_library_and_reference(tmp_path, params_json):
     assert len(rows) == 5
 
 
+def test_reckoner_takes_its_label_from_a_fit_envelope(tmp_path, params_json):
+    wrapped = tmp_path / "fit.json"
+    wrapped.write_text(
+        json.dumps({"payload": {"discipline": "astro-ph", "params": ASTRO.to_dict()}})
+    )
+    labels = []
+    for fit in (wrapped, params_json):
+        out, table_csv = tmp_path / "r.json", tmp_path / "table.csv"
+        code = run_command(
+            ["reckoner", "--fit", str(fit), "--citations", "5", "--ages", "2,3"]
+            + ["--csv", str(table_csv), "--out", str(out)]
+        )
+        assert code == 0
+        with open(table_csv, newline="") as fh:
+            rows = list(csv.reader(fh))
+        assert rows[1][0] == read_envelope(out)["payload"]["discipline"]
+        labels.append(rows[1][0])
+    assert labels == ["astro-ph", ""]  # a bare parameter object carries no label
+
+
 def test_reckoner_masks_render_as_null(tmp_path):
     fit = tmp_path / "comp.json"
     fit.write_text(json.dumps(params_for("comp-sci").to_dict()))
@@ -482,6 +502,27 @@ def test_sde_flag_out_of_range_is_a_usage_error(tmp_path, params_json, capsys, c
     )
     assert code == 1
     assert f"error: argument {flag}: {message}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        (["--paths", "0"], "n_paths must be >= 1, got 0"),
+        (["--dt", "2"], "dt must lie in (0, 1], got 2.0"),
+        (["--dt", "0.01", "--horizon", "0.015"], "horizon 0.015 is not a whole number of dt=0.01 steps"),
+    ],
+)
+@pytest.mark.parametrize("command", ["simulate", "verify"])
+def test_sde_config_refusal_is_a_usage_error(tmp_path, params_json, capsys, command, flags, message):
+    # SdeConfig owns these checks; the CLI reports its message as a bad flag.
+    out = tmp_path / "r.json"
+    code = run_command(
+        [command, "--fit", str(params_json), "--s1", "0.0281", "--s2", "0.2", *flags]
+        + ["--out", str(out)]
+    )
+    assert code == 1
+    assert f"error: {message}\n" in capsys.readouterr().err
     assert not out.exists()
 
 

@@ -60,7 +60,40 @@ def test_normal_quantile_rejects_out_of_domain():
         distfit.normal_quantile([0.5, 1.0])
 
 
+@given(st.floats(min_value=1e-8, max_value=1.0 - 1e-8))
+def test_cdf_inverts_quantile_property(q):
+    assert abs(distfit.normal_cdf(distfit.normal_quantile(q)) - q) <= 1e-12
+
+
+def test_normal_routines_map_scalars_to_floats_and_arrays_to_arrays():
+    for fn, arg in ((distfit.normal_cdf, 0.3), (distfit.normal_quantile, 0.3)):
+        assert type(fn(arg)) is float
+        assert type(fn(np.float64(arg))) is float
+        out = fn([arg, arg])
+        assert isinstance(out, np.ndarray) and out.shape == (2,)
+        assert out[0] == fn(arg)
+
+
 # --- rank construction -------------------------------------------------------
+
+
+@given(st.lists(st.integers(min_value=-3, max_value=3), min_size=1, max_size=60))
+def test_mid_ranks_match_brute_force(values):
+    v = np.array(values)
+    expected = [(np.sum(v < x) + np.sum(v == x) / 2) / v.size for x in v]
+    assert distfit.mid_ranks(v).tolist() == expected
+
+
+@given(st.lists(st.integers(min_value=0, max_value=40), min_size=1, max_size=80))
+def test_quantile_series_ranks_are_mid_ranks(counts):
+    series = distfit.make_quantile_series(counts)
+    assert series.q.tolist() == distfit.mid_ranks(np.sort(counts)).tolist()
+
+
+def test_adjusted_r2():
+    assert distfit.adjusted_r2(2.0, 10.0, 12, 3) == 1.0 - (2.0 / 9) / (10.0 / 11)
+    assert distfit.adjusted_r2(2.0, 10.0, 3, 3) == 1.0  # no residual dof
+    assert distfit.adjusted_r2(0.0, 0.0, 12, 3) == 1.0  # constant response
 
 
 def test_single_observation_mid_rank():

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 from scipy.integrate import quad
+from scipy.optimize import minimize_scalar
 
 from citedyn import historyfit
 from citedyn.errors import (
@@ -393,6 +394,47 @@ def test_peak_age_maximizes_the_bump_component():
             math.exp(p.mu - p.sigma**2) - 1.0, abs=1e-7
         )
         assert m.u_peak == pytest.approx(eval_history(p, m.t_peak), rel=1e-12)
+
+
+def _numeric_peak_age(p: HistoryParams, hi: float) -> float:
+    # Cross-check only: maximize the jump-decay component on [0, hi].
+    res = minimize_scalar(
+        lambda t: -historyfit._lognormal_density(t + 1.0, p.mu, p.sigma),
+        bounds=(0.0, hi),
+        method="bounded",
+        options={"xatol": 1e-10},
+    )
+    return float(res.x)
+
+
+def test_peak_age_is_zero_when_the_mode_precedes_age_zero():
+    # mu < sigma^2: the lognormal mode lies before the first shifted age.
+    p = HistoryParams(A=2.0, mu=0.3, sigma=0.9, B=0.1, lam=1.0)
+    m = derive_metrics(p)
+    assert m.t_peak == 0.0
+    assert m.u_peak == eval_history(p, 0.0)
+    assert _numeric_peak_age(p, 50.0) == pytest.approx(0.0, abs=1e-6)
+
+
+def test_peak_age_is_the_true_mode_beyond_fifty_years():
+    p = HistoryParams(A=2.0, mu=5.0, sigma=0.5, B=0.1, lam=1.0)
+    m = derive_metrics(p)
+    assert m.t_peak == math.exp(5.0 - 0.25) - 1.0  # about 114.6
+    assert m.t_peak > 50.0
+    assert m.t_peak == pytest.approx(_numeric_peak_age(p, 500.0), rel=1e-7)
+
+
+@given(
+    mu=st.floats(min_value=-1.0, max_value=4.0),
+    sigma=st.floats(min_value=0.2, max_value=2.0),
+    h=st.floats(min_value=1e-3, max_value=5.0),
+)
+def test_peak_age_maximizes_the_component_property(mu, sigma, h):
+    p = HistoryParams(A=1.0, mu=mu, sigma=sigma, B=0.1, lam=1.0)
+    t_peak = derive_metrics(p).t_peak
+    jump = historyfit._components(p, np.array([t_peak, t_peak + h, max(t_peak - h, 0.0)]))[0]
+    assert jump[0] >= jump[1]
+    assert jump[0] >= jump[2]
 
 
 # --- trend -----------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """Volatility fitting, path simulation, counting, and the timing CLT."""
 
 import csv
+import dataclasses
 import functools
 import math
 
@@ -51,7 +52,7 @@ def test_volatility_validation_and_dict_round_trip():
         volatility(0.0, 0.2)
     with pytest.raises(DomainError):
         volatility(0.1, -0.2)
-    d = VOL.to_dict()
+    d = dataclasses.asdict(VOL)
     assert d["s1"] == 0.0281 and d["s2"] == 0.200
     assert type(VOL).from_dict(d).s1 == VOL.s1
 
