@@ -30,6 +30,7 @@ from xml.sax.saxutils import escape
 import numpy as np
 
 from . import __version__, corpus, distfit, gamma, historyfit, stochastic
+from ._csv import open_csv, write_csv
 from .errors import (
     CitedynError,
     ConvergenceError,
@@ -117,11 +118,8 @@ def _parse_number_list(text: str, flag: str) -> list[float]:
 
 
 def _sniff_format(path) -> str:
-    try:
-        with open(path, "r", encoding="utf-8-sig", newline="") as fh:
-            header = fh.readline()
-    except OSError as exc:
-        raise UsageError(f"cannot read {path}: {exc.strerror or exc}")
+    with open_csv(path) as fh:
+        header = fh.readline()
     first = header.split(",")[0].strip().lower()
     if first == "eprint_id":
         return "long-csv"
@@ -145,8 +143,6 @@ def _load_json(path) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             data = json.load(fh)
-    except OSError as exc:
-        raise UsageError(f"cannot read {path}: {exc.strerror or exc}")
     except json.JSONDecodeError as exc:
         raise DataError(f"{path}: not valid JSON ({exc})")
     if not isinstance(data, dict):
@@ -160,13 +156,13 @@ def _payload(data: dict) -> dict:
     return payload if isinstance(payload, dict) else data
 
 
-def _load_params(path) -> historyfit.HistoryParams:
-    """History parameters from a fit envelope or a bare parameter object."""
-    candidate = _payload(_load_json(path))
-    if isinstance(candidate.get("params"), dict):
-        candidate = candidate["params"]
+def _load_fit(path) -> tuple[historyfit.HistoryParams, dict]:
+    """History parameters from a fit envelope or a bare parameter object,
+    and the payload they were read from."""
+    payload = _payload(_load_json(path))
+    candidate = payload["params"] if isinstance(payload.get("params"), dict) else payload
     try:
-        return historyfit.HistoryParams.from_dict(candidate)
+        return historyfit.HistoryParams.from_dict(candidate), payload
     except (KeyError, TypeError, ValueError) as exc:
         raise DataError(f"{path}: no usable history parameters ({exc})")
 
@@ -194,11 +190,7 @@ def _load_vol(args) -> tuple[stochastic.VolatilityFit, list]:
 
 
 def _read_vol_series(path) -> list[tuple[float, float]]:
-    try:
-        fh = open(path, "r", encoding="utf-8-sig", newline="")
-    except OSError as exc:
-        raise UsageError(f"cannot read {path}: {exc.strerror or exc}")
-    with fh:
+    with open_csv(path) as fh:
         reader = csv.DictReader(fh)
         if reader.fieldnames is None or not {"t", "m"} <= set(reader.fieldnames):
             raise DataError(f"{path}: expected columns t,m")
@@ -379,7 +371,7 @@ def _cmd_fit_history(args):
 
 
 def _cmd_metrics(args):
-    params = _load_params(args.fit)
+    params, _ = _load_fit(args.fit)
     metrics = historyfit.derive_metrics(params)
     payload = {
         "params": params.to_dict(),
@@ -409,13 +401,7 @@ def _cmd_trend(args):
         "points": [p._asdict() for p in points],
     }
     if args.csv:
-        with open(args.csv, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(["dataset_year", "s_rate", "r_rate", "i_rate", "converged"])
-            for p in points:
-                writer.writerow(
-                    [p.dataset_year, repr(p.s_rate), repr(p.r_rate), repr(p.i_rate), p.converged]
-                )
+        write_csv(args.csv, historyfit.TrendPoint._fields, points)
         payload["csv"] = Path(args.csv).name
     return payload, [args.input], []
 
@@ -432,7 +418,7 @@ def _summary_stats(values) -> dict:
 
 def _cmd_gamma(args):
     corp = _load_corpus(args)
-    params = _load_params(args.fit)
+    params, _ = _load_fit(args.fit)
     year = args.dataset_year if args.dataset_year is not None else corp.retrieval_year
     scores, stars, warnings = gamma.score_eprints(corp, args.discipline, params, year)
     try:
@@ -455,13 +441,13 @@ def _cmd_gamma(args):
 
 
 def _cmd_reckoner(args):
-    params = _load_params(args.fit)
+    params, fit = _load_fit(args.fit)
     c_levels = _parse_number_list(args.citations, "--citations")
     ages = _parse_number_list(args.ages, "--ages")
     label = args.discipline
     if label is None:
         # Fall back to the discipline recorded in the fit envelope, if any.
-        label = str(_payload(_load_json(args.fit)).get("discipline", "") or "")
+        label = str(fit.get("discipline", "") or "")
     reck = gamma.build_reckoner(params, c_levels, ages, discipline=label)
     payload = {
         "discipline": reck.discipline,
@@ -476,7 +462,7 @@ def _cmd_reckoner(args):
 
 
 def _cmd_simulate(args):
-    params = _load_params(args.fit)
+    params, _ = _load_fit(args.fit)
     vol, vol_inputs = _load_vol(args)
     config = _sde_config(args)
     if args.ensemble:
@@ -506,7 +492,7 @@ def _cmd_simulate(args):
 
 
 def _cmd_verify(args):
-    params = _load_params(args.fit)
+    params, _ = _load_fit(args.fit)
     vol, vol_inputs = _load_vol(args)
     config = _sde_config(args)
     checks = stochastic.verify_ensemble(params, vol, config)
@@ -632,21 +618,14 @@ def emit_plot(series: Sequence[PlotSeries], style: str = "line", out=None):
     out = Path(out)
     out.write_text("\n".join(parts) + "\n", encoding="utf-8")
     sibling = out.with_suffix(".csv")
-    with open(sibling, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["series", "x", "y"])
-        for s in series:
-            for xi, yi in zip(s.x, s.y):
-                writer.writerow([s.label, repr(float(xi)), repr(float(yi))])
+    write_csv(sibling, ["series", "x", "y"], (
+        (s.label, float(xi), float(yi)) for s in series for xi, yi in zip(s.x, s.y)
+    ))
     return out, sibling
 
 
 def _cmd_plot(args):
-    try:
-        fh = open(args.data, "r", encoding="utf-8-sig", newline="")
-    except OSError as exc:
-        raise UsageError(f"cannot read {args.data}: {exc.strerror or exc}")
-    with fh:
+    with open_csv(args.data) as fh:
         reader = csv.DictReader(fh)
         if reader.fieldnames is None:
             raise DataError(f"{args.data}: empty file")

@@ -14,6 +14,7 @@ import logging
 from dataclasses import dataclass, field
 from typing import Iterable, NamedTuple
 
+from ._csv import open_csv, write_csv
 from .errors import DataError, DomainError, SchemaError
 
 __all__ = [
@@ -51,7 +52,6 @@ class EprintRecord:
     disciplines: frozenset[str]
     submit_year: int
     yearly_citations: tuple[int, ...]
-    doi_year: int | None = None
 
     def __post_init__(self):
         object.__setattr__(self, "disciplines", frozenset(self.disciplines))
@@ -64,8 +64,6 @@ class EprintRecord:
             )
         if any(c < 0 for c in self.yearly_citations):
             raise DataError(f"eprint {self.eprint_id}: negative citation count")
-        if self.doi_year is not None and self.doi_year < self.submit_year:
-            raise DataError(f"eprint {self.eprint_id}: doi_year precedes submit_year")
 
     def citations_through(self, year: int) -> int:
         """Total citations accumulated through calendar year `year`."""
@@ -212,7 +210,7 @@ def load_corpus(path, format: str, retrieval_year: int | None = None):
 def _load_long_csv(path, retrieval_year: int | None) -> CitationCorpus:
     # eprint_id -> [submit_year, {discipline: set of ages}, {age: count}]
     by_id: dict[str, list] = {}
-    with open(path, newline="", encoding="utf-8") as fh:
+    with open_csv(path) as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
         _check_header(header, LONG_CSV_COLUMNS, path)
@@ -298,7 +296,7 @@ def _load_long_csv(path, retrieval_year: int | None) -> CitationCorpus:
 
 def _load_panel_csv(path) -> list[AgePanel]:
     groups: dict[tuple[str, int], dict[int, tuple[int, int]]] = {}
-    with open(path, newline="", encoding="utf-8") as fh:
+    with open_csv(path) as fh:
         reader = csv.DictReader(fh)
         _check_header(reader.fieldnames, PANEL_CSV_COLUMNS, path)
         for row_no, row in enumerate(reader, start=2):
@@ -487,26 +485,20 @@ def build_trend_subsets(
 
 def write_long_csv(corpus: CitationCorpus, path) -> None:
     """Write the corpus in long format, one row per (eprint, discipline, age)."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(LONG_CSV_COLUMNS)
-        writer.writerows(
-            (rec.eprint_id, disc, rec.submit_year, age, count)
-            for rec in corpus.records
-            for disc in sorted(rec.disciplines)
-            for age, count in enumerate(rec.yearly_citations)
-        )
+    write_csv(path, LONG_CSV_COLUMNS, (
+        (rec.eprint_id, disc, rec.submit_year, age, count)
+        for rec in corpus.records
+        for disc in sorted(rec.disciplines)
+        for age, count in enumerate(rec.yearly_citations)
+    ))
 
 
 def write_panel_csv(panels: Iterable[AgePanel], path) -> None:
     """Write panels in the aggregate format; totals reconstructed exactly."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(PANEL_CSV_COLUMNS)
-        for panel in panels:
-            for e in panel.entries:
-                # u was produced by a single integer division, so u*n rounds
-                # back to the exact integer total.
-                writer.writerow(
-                    [panel.discipline, panel.dataset_year, e.t, e.n, round(e.u * e.n)]
-                )
+    # u was produced by a single integer division, so u*n rounds back to the
+    # exact integer total.
+    write_csv(path, PANEL_CSV_COLUMNS, (
+        (panel.discipline, panel.dataset_year, e.t, e.n, round(e.u * e.n))
+        for panel in panels
+        for e in panel.entries
+    ))

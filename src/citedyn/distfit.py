@@ -17,7 +17,6 @@ adjusted-R^2 helpers defined here.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 from typing import Iterable
@@ -25,6 +24,7 @@ from typing import Iterable
 import numpy as np
 from scipy.special import ndtr, ndtri
 
+from ._csv import write_csv
 from .errors import (
     DataError,
     DegenerateDataError,
@@ -284,8 +284,5 @@ def write_quantile_csv(series: QuantileSeries, path) -> None:
     """Emit the series as `y,phi_inv_q,minus_log1mq` for external plotting."""
     phi_inv = normal_quantile(series.q)
     mlog = -np.log1p(-series.q)
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["y", "phi_inv_q", "minus_log1mq"])
-        for yv, pv, mv in zip(series.y, phi_inv, mlog):
-            writer.writerow([repr(float(yv)), repr(float(pv)), repr(float(mv))])
+    write_csv(path, ["y", "phi_inv_q", "minus_log1mq"],
+              zip(series.y.tolist(), phi_inv.tolist(), mlog.tolist()))

@@ -14,7 +14,6 @@ shape of the underlying count distribution.
 
 from __future__ import annotations
 
-import csv
 import itertools
 import math
 from dataclasses import dataclass
@@ -23,6 +22,7 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 from scipy.special import betainc
 
+from ._csv import write_csv
 from .corpus import CitationCorpus
 from .distfit import mid_ranks, normal_quantile
 from .errors import (
@@ -438,17 +438,13 @@ def write_scores_csv(
     """Write aligned gamma and gamma* scores, one row per eprint."""
     if len(scores) != len(stars):
         raise DataError(f"score/star length mismatch: {len(scores)} vs {len(stars)}")
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["eprint_id", "discipline", "T", "c", "gamma", "gamma_star"])
-        for s, star in zip(scores, stars):
-            if s.eprint_id != star.eprint_id:
-                raise DataError(
-                    f"score/star misalignment at {s.eprint_id!r} vs {star.eprint_id!r}"
-                )
-            writer.writerow(
-                [s.eprint_id, s.discipline, s.T, s.c, repr(s.gamma), repr(star.gamma_star)]
-            )
+    for s, star in zip(scores, stars):
+        if s.eprint_id != star.eprint_id:
+            raise DataError(f"score/star misalignment at {s.eprint_id!r} vs {star.eprint_id!r}")
+    write_csv(path, ["eprint_id", "discipline", "T", "c", "gamma", "gamma_star"], (
+        (s.eprint_id, s.discipline, s.T, s.c, s.gamma, star.gamma_star)
+        for s, star in zip(scores, stars)
+    ))
 
 
 def write_reckoner_csv(reckoners, path) -> None:
@@ -465,13 +461,11 @@ def write_reckoner_csv(reckoners, path) -> None:
     for r in reckoners[1:]:
         if r.ages != ages:
             raise DataError("reckoners disagree on age columns")
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["discipline", "c"] + [f"T={_trim(a)}" for a in ages])
-        for r in reckoners:
-            for c, row in zip(r.c_levels, r.matrix):
-                cells = ["" if g is None else f"{g:.2f}" for g in row]
-                writer.writerow([r.discipline, _trim(c)] + cells)
+    write_csv(path, ["discipline", "c"] + [f"T={_trim(a)}" for a in ages], (
+        [r.discipline, _trim(c)] + ["" if g is None else f"{g:.2f}" for g in row]
+        for r in reckoners
+        for c, row in zip(r.c_levels, r.matrix)
+    ))
 
 
 def _trim(x: float) -> str:

@@ -42,7 +42,6 @@ and at the true mode however late it falls: there is no search window.
 
 from __future__ import annotations
 
-import csv
 import itertools
 import math
 from dataclasses import dataclass
@@ -51,6 +50,7 @@ from typing import NamedTuple, Union
 import numpy as np
 from scipy.optimize import least_squares
 
+from ._csv import write_csv
 from .corpus import AgePanel
 from .distfit import adjusted_r2, normal_cdf
 from .errors import (
@@ -94,6 +94,7 @@ N_PARAMS = 5
 MU_FLOOR = -3.0
 LN_A_MARGIN = 6.0
 STATUS_ABANDONED = -2   # least_squares status when the callback stops a start
+MAX_NFEV = 1000         # residual evaluations allowed per start
 
 
 # --- model ------------------------------------------------------------------
@@ -201,7 +202,6 @@ class FitOptions:
     """Knobs for fit_history; the default is the unweighted regression."""
 
     weight_by_population: bool = False
-    max_nfev: int = 1000
 
 
 @dataclass(frozen=True)
@@ -389,7 +389,7 @@ def fit_history(panel: AgePanel, options: FitOptions | None = None) -> HistoryFi
                 jac=jac,
                 method="trf",
                 bounds=(lower, upper),
-                max_nfev=opts.max_nfev,
+                max_nfev=MAX_NFEV,
                 callback=callback,
             )
         except (ValueError, np.linalg.LinAlgError) as exc:
@@ -593,8 +593,5 @@ def write_curve_csv(params: HistoryParams, path, t_max: float = 20.0, step: floa
     """Sample the fitted curve as `t,u_hat,f_component,g_component`."""
     t = np.arange(0.0, t_max + step / 2, step)
     jump, base = _components(params, t)
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["t", "u_hat", "f_component", "g_component"])
-        for ti, fi, gi in zip(t, jump, base):
-            writer.writerow([repr(float(ti)), repr(float(fi + gi)), repr(float(fi)), repr(float(gi))])
+    write_csv(path, ["t", "u_hat", "f_component", "g_component"],
+              zip(t.tolist(), (jump + base).tolist(), jump.tolist(), base.tolist()))

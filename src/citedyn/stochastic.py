@@ -28,7 +28,6 @@ validated but no longer change the work.
 
 from __future__ import annotations
 
-import csv
 import math
 import os
 from dataclasses import dataclass
@@ -38,6 +37,7 @@ import numpy as np
 from scipy.optimize import least_squares
 
 from . import distfit
+from ._csv import write_csv
 from .errors import (
     ConvergenceError,
     DataError,
@@ -45,7 +45,7 @@ from .errors import (
     InsufficientDataError,
     InvalidInputError,
 )
-from .historyfit import HistoryParams, eval_history
+from .historyfit import HistoryParams, _lognormal_density, eval_history
 
 __all__ = [
     "VolatilityFit",
@@ -412,10 +412,7 @@ def closed_form_density(x, t: float, params: HistoryParams, vol: VolatilityFit):
     v = log_variance(float(t), vol)
     out = np.zeros_like(xa)
     pos = xa > 0
-    lx = np.log(xa[pos])
-    out[pos] = np.exp(-((lx - math.log(u) + 0.5 * v) ** 2) / (2.0 * v)) / (
-        xa[pos] * math.sqrt(2.0 * math.pi * v)
-    )
+    out[pos] = _lognormal_density(xa[pos], math.log(u) - 0.5 * v, math.sqrt(v))
     return float(out[0]) if scalar else out
 
 
@@ -711,29 +708,18 @@ def write_ensemble_csv(ensemble: PathEnsemble, path, mode: str = "paths") -> Non
     """
     if mode not in ("paths", "summary"):
         raise DomainError(f"mode must be 'paths' or 'summary', got {mode!r}")
+    if mode == "summary":
+        ddof = 1 if ensemble.paths.shape[0] > 1 else 0
+        means = ensemble.paths.mean(axis=0)
+        varis = ensemble.paths.var(axis=0, ddof=ddof)
+        qs = np.quantile(ensemble.paths, [0.05, 0.5, 0.95], axis=0)
+        write_csv(path, ["t", "mean", "var", "q05", "q50", "q95"],
+                  zip(ensemble.grid.tolist(), means.tolist(), varis.tolist(), *qs.tolist()))
+        return
+    # No cell of the paths layout needs csv quoting, so each path is joined
+    # as text. Converting one path at a time bounds the Python floats.
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        if mode == "paths":
-            writer.writerow(["path_id", "t", "x"])
-            # No cell of these rows needs csv quoting, so each path is joined
-            # as text. Converting one path at a time bounds the Python floats.
-            t_cells = [f",{t!r}," for t in ensemble.grid.tolist()]
-            for pid, row in enumerate(ensemble.paths):
-                fh.write("".join([f"{pid}{t}{x!r}\n" for t, x in zip(t_cells, row.tolist())]))
-        else:
-            writer.writerow(["t", "mean", "var", "q05", "q50", "q95"])
-            ddof = 1 if ensemble.paths.shape[0] > 1 else 0
-            means = ensemble.paths.mean(axis=0)
-            varis = ensemble.paths.var(axis=0, ddof=ddof)
-            qs = np.quantile(ensemble.paths, [0.05, 0.5, 0.95], axis=0)
-            for i, t in enumerate(ensemble.grid):
-                writer.writerow(
-                    [
-                        repr(float(t)),
-                        repr(float(means[i])),
-                        repr(float(varis[i])),
-                        repr(float(qs[0, i])),
-                        repr(float(qs[1, i])),
-                        repr(float(qs[2, i])),
-                    ]
-                )
+        fh.write("path_id,t,x\n")
+        t_cells = [f",{t!r}," for t in ensemble.grid.tolist()]
+        for pid, row in enumerate(ensemble.paths):
+            fh.write("".join([f"{pid}{t}{x!r}\n" for t, x in zip(t_cells, row.tolist())]))

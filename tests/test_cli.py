@@ -5,17 +5,19 @@ import json
 import math
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from citedyn import corpus, gamma, historyfit, stochastic
+from citedyn import cli, corpus, gamma, historyfit, stochastic
 from citedyn.cli import PlotSeries, _json_safe, _parse_number_list, emit_plot, run_command
 from citedyn.errors import UsageError
 
 from _reference import ORACLE, RECKONER_TABLE, make_panel, params_for
 
 ASTRO = params_for("astro-ph")
+SAMPLES = Path(__file__).resolve().parent.parent / "docs" / "samples"
 
 
 def small_corpus():
@@ -142,6 +144,20 @@ def test_ingest_sniffs_panel_format(tmp_path):
     assert payload["format"] == "panel-csv"
     assert payload["panels"][0]["discipline"] == "synthetic"
     assert payload["panels"][0]["n_ages"] == 7
+
+
+@pytest.mark.parametrize("name, fmt", [("corpus.csv", "long-csv"), ("panel.csv", "panel-csv")])
+def test_inputs_may_start_with_a_bom(tmp_path, name, fmt):
+    plain, bom = SAMPLES / name, tmp_path / name
+    bom.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+    assert corpus.load_corpus(bom, fmt) == corpus.load_corpus(plain, fmt)
+    payloads = []
+    for path in (plain, bom):
+        out = tmp_path / "r.json"
+        assert run_command(["ingest", "--input", str(path), "--out", str(out)]) == 0
+        payloads.append(read_envelope(out)["payload"])
+    assert payloads[0]["format"] == fmt
+    assert payloads[1] == payloads[0]
 
 
 def test_unrecognized_header_needs_explicit_format(tmp_path):
@@ -317,6 +333,16 @@ def test_reckoner_takes_its_label_from_a_fit_envelope(tmp_path, params_json):
         assert rows[1][0] == read_envelope(out)["payload"]["discipline"]
         labels.append(rows[1][0])
     assert labels == ["astro-ph", ""]  # a bare parameter object carries no label
+
+
+def test_reckoner_reads_its_fit_once(tmp_path, params_json, monkeypatch):
+    calls = []
+    load_json = cli._load_json
+    monkeypatch.setattr(cli, "_load_json", lambda path: calls.append(path) or load_json(path))
+    code = run_command(["reckoner", "--fit", str(params_json), "--citations", "5", "--ages", "2",
+                        "--out", str(tmp_path / "r.json")])
+    assert code == 0
+    assert calls == [str(params_json)]
 
 
 def test_reckoner_masks_render_as_null(tmp_path):
@@ -619,13 +645,19 @@ def test_trend_over_drifting_corpus(tmp_path):
 # --- exit codes -------------------------------------------------------------------------
 
 
-def test_exit_code_for_usage_errors(tmp_path, corpus_csv):
+def test_exit_code_for_usage_errors(tmp_path, corpus_csv, params_json):
     assert run_command(["no-such-command"]) == 1
     assert run_command(["ingest", "--input", str(corpus_csv)]) == 1  # --out missing
-    assert (
-        run_command(["ingest", "--input", str(tmp_path / "missing.csv"), "--out", str(tmp_path / "r.json")])
-        == 1
-    )
+    # An unreadable input exits 1 and writes no envelope, whichever flag names it.
+    missing, out = str(tmp_path / "missing.csv"), tmp_path / "r.json"
+    for argv in (
+        ["ingest", "--input", missing],
+        ["metrics", "--fit", missing],
+        ["simulate", "--fit", str(params_json), "--vol-series", missing, *SIM_ARGS],
+        ["plot", "--data", missing, "--x", "t", "--y", "m", "--svg", str(tmp_path / "f.svg")],
+    ):
+        assert run_command(argv + ["--out", str(out)]) == 1, argv
+        assert not out.exists()
 
 
 def test_exit_code_for_data_errors(tmp_path, corpus_csv):

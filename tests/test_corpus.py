@@ -42,14 +42,6 @@ def test_record_rejects_bad_fields():
         rec("x", 2015, (1, -2))
     with pytest.raises(DataError, match="predates"):
         rec("x", 1985, (1,))
-    with pytest.raises(DataError, match="doi_year"):
-        EprintRecord(
-            eprint_id="x",
-            disciplines=frozenset({"a"}),
-            submit_year=2015,
-            yearly_citations=(1,),
-            doi_year=2014,
-        )
 
 
 def test_citations_through_and_lifetime():

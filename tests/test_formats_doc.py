@@ -2,10 +2,13 @@
 
 Each column table in the format reference is parsed and compared with
 the header row its writer emits, so the documented schemas cannot drift
-from the code.
+from the code, and every file is checked against the CSV conventions
+the reference states.
 """
 
+import codecs
 import csv
+import json
 import re
 from pathlib import Path
 
@@ -33,7 +36,8 @@ COMMANDS = {
                       "--first-year", "2019", "--last-year", "2019", "--csv", "trend.csv"],
     "`gamma --scores`": ["gamma", "--input", CORPUS, "--discipline", "astro-ph", "--fit", PARAMS,
                          "--scores", "scores.csv"],
-    "`reckoner --csv`": ["reckoner", "--fit", PARAMS, "--citations", "5,10", "--ages", "2:4",
+    # c=1 goes negative from age 4 on, so the table has masked cells.
+    "`reckoner --csv`": ["reckoner", "--fit", PARAMS, "--citations", "1,5,10", "--ages", "2:6",
                          "--csv", "reckoner.csv"],
     "`simulate --ensemble` (mode `paths`)": ["simulate", *SIM, "--ensemble", "paths.csv"],
     "`simulate --ensemble` (mode `summary`)": ["simulate", *SIM, "--ensemble-mode", "summary",
@@ -65,6 +69,32 @@ def header_of(path) -> list[str]:
         return next(csv.reader(fh))
 
 
+# Columns holding names or flags; every other cell is a number.
+TEXT_COLUMNS = {"eprint_id", "discipline", "converged", "series"}
+
+
+def empty_numeric_cells(path) -> list[tuple[int, str]]:
+    """Check the CSV conventions and return the (row, column) of empty
+    numeric cells: no BOM, "\n" line ends, every other number readable by
+    float()."""
+    raw = path.read_bytes()
+    assert not raw.startswith(codecs.BOM_UTF8)
+    assert b"\r" not in raw
+    with open(path, newline="", encoding="utf-8") as fh:
+        rows = list(csv.DictReader(fh))
+    assert rows
+    empty = []
+    for i, row in enumerate(rows):
+        for column, cell in row.items():
+            if column in TEXT_COLUMNS:
+                continue
+            if cell == "":
+                empty.append((i, column))
+            else:
+                float(cell)
+    return empty
+
+
 def matches(documented: list[str], header: list[str]) -> bool:
     """A last documented name like `T=<age>` stands for one or more columns."""
     if documented and "<" in documented[-1]:
@@ -84,10 +114,20 @@ def test_every_documented_artifact_has_a_command():
 @pytest.mark.parametrize("label", sorted(COMMANDS))
 def test_artifact_columns_match_docs(tmp_path, label):
     *argv, out = COMMANDS[label]
-    assert run_command([*argv, str(tmp_path / out), "--out", str(tmp_path / "r.json")]) == 0
-    header = header_of((tmp_path / out).with_suffix(".csv"))
+    envelope, path = tmp_path / "r.json", (tmp_path / out).with_suffix(".csv")
+    assert run_command([*argv, str(tmp_path / out), "--out", str(envelope)]) == 0
+    header = header_of(path)
     documented = section_table("Bulk CSV artifacts")[label]
     assert matches(documented, header), (documented, header)
+    empty = empty_numeric_cells(path)
+    if label == "`reckoner --csv`":
+        # The masked cells, null in the payload, are the only empty ones.
+        matrix = json.loads(envelope.read_text(encoding="utf-8"))["payload"]["matrix"]
+        masked = [(i, header[2 + j]) for i, row in enumerate(matrix)
+                  for j, v in enumerate(row) if v is None]
+        assert masked and empty == masked
+    else:
+        assert empty == []
 
 
 def test_corpus_format_columns_match_docs(tmp_path):
@@ -97,6 +137,7 @@ def test_corpus_format_columns_match_docs(tmp_path):
     for heading, path in (("Citation corpus, long form (`long-csv`)", long_path),
                           ("Age panel, aggregate form (`panel-csv`)", panel_path)):
         assert list(section_table(heading)) == [f"`{c}`" for c in header_of(path)]
+        assert empty_numeric_cells(path) == []
 
 
 def test_matches_reads_templated_columns():
