@@ -141,7 +141,7 @@ def _load_corpus(args) -> corpus.CitationCorpus:
 
 def _load_json(path) -> dict:
     try:
-        with open(path, "r", encoding="utf-8") as fh:
+        with open(path, "r", encoding="utf-8-sig") as fh:
             data = json.load(fh)
     except json.JSONDecodeError as exc:
         raise DataError(f"{path}: not valid JSON ({exc})")
@@ -272,12 +272,13 @@ def _cmd_ingest(args):
         return payload, [args.input], []
 
     corp = corpus.load_corpus(args.input, "long-csv", retrieval_year=args.retrieval_year)
-    disciplines = sorted(corp.disciplines)
+    disciplines = corp.discipline_names
+    sizes = np.bincount(corp.member_disciplines, minlength=len(disciplines)).tolist()
     payload = {
         "format": fmt,
         "n_eprints": len(corp),
         "retrieval_year": corp.retrieval_year,
-        "disciplines": {d: len(corp.in_discipline(d)) for d in disciplines},
+        "disciplines": dict(zip(disciplines, sizes)),
     }
     if args.percentiles:
         levels = _parse_number_list(args.percentiles, "--percentiles")
@@ -293,18 +294,15 @@ def _cmd_ingest(args):
 
 def _cmd_fit_dist(args):
     corp = _load_corpus(args)
-    records = corp.in_discipline(args.discipline)
-    if not records:
+    members = corp.members(args.discipline)
+    if not members.size:
         raise DataError(f"no eprints in discipline {args.discipline!r}")
-    if args.dataset_year is not None:
-        counts = [r.citations_through(args.dataset_year) for r in records]
-    else:
-        counts = [r.lifetime_citations for r in records]
+    counts = corp.citation_totals(members, through=args.dataset_year)
     series = distfit.make_quantile_series(counts, exclude_zero=args.exclude_zero)
     payload = {
         "discipline": args.discipline,
         "dataset_year": args.dataset_year,
-        "n_eprints": len(records),
+        "n_eprints": len(members),
         "n_points": len(series),
         "zero_excluded": series.zero_excluded,
         "lognormal": None,

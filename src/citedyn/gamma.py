@@ -131,23 +131,22 @@ def score_eprints(
     scores are computed within the scorable set, the same population the
     gamma values describe.
     """
-    records = corpus.in_discipline(discipline)
-    if not records:
+    members = corpus.members(discipline)
+    if not members.size:
         raise DataError(f"no eprints in discipline {discipline!r}")
+    ages = (dataset_year - corpus.submit_years[members]).tolist()
+    totals = corpus.citation_totals(members, through=dataset_year).tolist()
     usable = []
     warnings = []
-    for rec in records:
-        T = dataset_year - rec.submit_year
+    for k, T, c in zip(members.tolist(), ages, totals):
         if T < 1:
             warnings.append(
-                f"{rec.eprint_id}: not yet 1 year old in {dataset_year}, skipped"
+                f"{corpus.ids[k]}: not yet 1 year old in {dataset_year}, skipped"
             )
-            continue
-        c = rec.citations_through(dataset_year)
-        if c < 1:
-            warnings.append(f"{rec.eprint_id}: no citations by {dataset_year}, skipped")
-            continue
-        usable.append((rec.eprint_id, T, c))
+        elif c < 1:
+            warnings.append(f"{corpus.ids[k]}: no citations by {dataset_year}, skipped")
+        else:
+            usable.append((corpus.ids[k], T, c))
     if not usable:
         raise InsufficientDataError(
             f"no scorable eprints in {discipline!r} at {dataset_year}"

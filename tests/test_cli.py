@@ -146,17 +146,30 @@ def test_ingest_sniffs_panel_format(tmp_path):
     assert payload["panels"][0]["n_ages"] == 7
 
 
-@pytest.mark.parametrize("name, fmt", [("corpus.csv", "long-csv"), ("panel.csv", "panel-csv")])
+# Input format -> the command that reads a sample of it.
+BOM_COMMANDS = {
+    "long-csv": lambda path: ["ingest", "--input", path],
+    "panel-csv": lambda path: ["ingest", "--input", path],
+    "fit-json": lambda path: ["metrics", "--fit", path],
+    "vol-json": lambda path: ["simulate", "--fit", str(SAMPLES / "params.json"), "--vol", path,
+                              "--dt", "0.5", "--horizon", "2", "--paths", "4"],
+}
+
+
+@pytest.mark.parametrize("name, fmt", [("corpus.csv", "long-csv"), ("panel.csv", "panel-csv"),
+                                       ("params.json", "fit-json"), ("vol.json", "vol-json")])
 def test_inputs_may_start_with_a_bom(tmp_path, name, fmt):
     plain, bom = SAMPLES / name, tmp_path / name
     bom.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
-    assert corpus.load_corpus(bom, fmt) == corpus.load_corpus(plain, fmt)
+    if fmt.endswith("-csv"):
+        assert corpus.load_corpus(bom, fmt) == corpus.load_corpus(plain, fmt)
     payloads = []
     for path in (plain, bom):
         out = tmp_path / "r.json"
-        assert run_command(["ingest", "--input", str(path), "--out", str(out)]) == 0
+        assert run_command([*BOM_COMMANDS[fmt](str(path)), "--out", str(out)]) == 0
         payloads.append(read_envelope(out)["payload"])
-    assert payloads[0]["format"] == fmt
+    if fmt.endswith("-csv"):
+        assert payloads[0]["format"] == fmt
     assert payloads[1] == payloads[0]
 
 

@@ -4,7 +4,7 @@ import csv
 import logging
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from citedyn import corpus as corpus_mod
@@ -13,6 +13,7 @@ from citedyn.corpus import (
     CitationCorpus,
     EprintRecord,
     PanelEntry,
+    PercentileSummary,
     build_age_panel,
     build_trend_subsets,
     load_corpus,
@@ -20,7 +21,10 @@ from citedyn.corpus import (
     write_long_csv,
     write_panel_csv,
 )
-from citedyn.errors import DataError, DomainError, SchemaError
+from citedyn.errors import DataError, DomainError, InsufficientDataError, SchemaError
+from citedyn.gamma import GammaScore, gamma_index, gamma_star_scores, score_eprints
+
+from _reference import params_for
 
 
 def rec(eid, year, counts, disciplines=("astro-ph",)):
@@ -58,6 +62,17 @@ def test_corpus_rejects_duplicates_and_future_submissions():
         CitationCorpus(records=(rec("x", 2015, (1,)), rec("x", 2016, (2,))), retrieval_year=2019)
     with pytest.raises(DataError, match="exceeds retrieval_year"):
         CitationCorpus(records=(rec("x", 2020, (1,)),), retrieval_year=2019)
+
+
+def test_corpus_counts_must_fit_int64(tmp_path):
+    with pytest.raises(DataError, match="must fit in int64"):
+        CitationCorpus(records=(rec("x", 2015, (2**63,)),), retrieval_year=2019)
+    with pytest.raises(DataError, match="must sum below 2\\*\\*62"):
+        CitationCorpus(records=(rec("x", 2015, (2**61, 2**61)),), retrieval_year=2019)
+    path = tmp_path / "big.csv"
+    write_rows(path, [["x", "a", 2015, 0, 2**61], ["x", "a", 2015, 1, 2**61]])
+    with pytest.raises(DataError, match="must sum below 2\\*\\*62"):
+        load_corpus(path, "long-csv")
 
 
 def test_corpus_discipline_lookup():
@@ -250,6 +265,198 @@ def test_long_csv_round_trip_property(tmp_path_factory, original):
     assert load_corpus(path, "long-csv") == original
 
 
+def load_logged(path):
+    """load_corpus's long-csv result and the warnings it logged, in order."""
+    records = []
+    handler = logging.Handler(logging.WARNING)
+    handler.emit = records.append
+    logger = logging.getLogger("citedyn.corpus")
+    logger.addHandler(handler)
+    try:
+        loaded = load_corpus(path, "long-csv")
+    finally:
+        logger.removeHandler(handler)
+    return loaded, [r.getMessage() for r in records]
+
+
+@given(corpora(), st.randoms(use_true_random=False))
+def test_long_csv_row_order_property(tmp_path_factory, original, rnd):
+    # Zero some counts below each eprint's last age and drop most zero rows,
+    # so the loader zero-fills gaps (with a warning) and reads an age that
+    # one discipline's rows lack from another's. Then shuffle the rows, so
+    # they are no longer grouped by eprint.
+    records, rows = [], []
+    for r in original.records:
+        last = len(r.yearly_citations) - 1
+        counts = [0 if age < last and rnd.random() < 0.3 else count
+                  for age, count in enumerate(r.yearly_citations)]
+        records.append(rec(r.eprint_id, r.submit_year, counts, r.disciplines))
+        rows += [
+            [r.eprint_id, disc, r.submit_year, age, count]
+            for disc in sorted(r.disciplines)
+            for age, count in enumerate(counts)
+            if count or age == last or rnd.random() < 0.3
+        ]
+    expected = CitationCorpus(records=records, retrieval_year=original.retrieval_year)
+    folder = tmp_path_factory.mktemp("order")
+    write_rows(folder / "grouped.csv", rows)
+    write_rows(folder / "shuffled.csv", rnd.sample(rows, len(rows)))
+    grouped, grouped_warnings = load_logged(folder / "grouped.csv")
+    shuffled, warnings = load_logged(folder / "shuffled.csv")
+    assert grouped == expected
+    assert shuffled == expected
+    assert warnings == grouped_warnings
+
+
+def test_long_csv_reads_cells_as_int_does(tmp_path):
+    # numpy's reader refuses the first two cells; int() takes all three.
+    path = tmp_path / "odd.csv"
+    path.write_text(f"{HEADER}\na,x,2_000,0,٣\na,x,2000,1, 7 \n", encoding="utf-8")
+    assert load_corpus(path, "long-csv") == CitationCorpus(
+        records=(rec("a", 2000, (3, 7), ("x",)),), retrieval_year=2001
+    )
+
+
+def test_long_csv_ids_with_csv_syntax_round_trip(tmp_path):
+    original = CitationCorpus(
+        records=(
+            rec('#1, "first"', 2015, (3, 0, 2), ("#x", 'y,"z"')),
+            rec("#2", 2016, (1,), ("#x",)),
+            rec("multi\nline", 2017, (4, 5), ("#x",)),
+        ),
+        retrieval_year=2018,
+    )
+    path = tmp_path / "corpus.csv"
+    write_long_csv(original, path)
+    assert load_corpus(path, "long-csv") == original
+
+
+# (data lines after the header, exact DataError message): files numpy's
+# reader refuses, quoted line breaks, and a conflict whose first row sorts
+# after the conflicting one.
+MORE_LOAD_ERRORS = {
+    "count past int64": (
+        ["a,x,2015,0,1", f"a,x,2015,1,{2**63}"],
+        f"row 3: column 'citations_in_year' does not fit in int64: '{2**63}'",
+    ),
+    "earlier mask fault wins": (
+        ["a,x,2015,0,1", "a,x,2015,-1,1", "a,x,2015,1,1", "a,x,2015,2,nope"],
+        "row 3: negative age -1",
+    ),
+    "multi-line id is one row": (
+        ['"a\nb",x,2015,0,1', "c,x,2015,0,1", "c,x,2015,0,1"],
+        "row 4: duplicate (eprint_id, discipline, age) = ('c', 'x', 0)",
+    ),
+    "multi-line id is one row when reread": (
+        ['"a\nb",x,2015,0,1', "c,x,2015,0,1", "c,x,2015,1,x"],
+        "row 4: column 'citations_in_year' is not an integer: 'x'",
+    ),
+    "count conflict judged by file order": (
+        ["b,x,2015,0,1", "a,y,2015,0,1", "a,x,2015,0,2"],
+        "row 4: eprint 'a' age 0 count 2 conflicts with 1 from another discipline row",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MORE_LOAD_ERRORS))
+def test_long_csv_more_error_contract(tmp_path, case):
+    lines, message = MORE_LOAD_ERRORS[case]
+    path = tmp_path / "bad.csv"
+    path.write_text("\n".join([HEADER, *lines]) + "\n", encoding="utf-8")
+    with pytest.raises(DataError) as err:
+        load_corpus(path, "long-csv")
+    assert str(err.value) == message
+
+
+def sequential_load(path):
+    """The long-csv loader as one pass over csv.reader rows.
+
+    Returns the first fault's message, or the corpus and its zero-fill
+    warnings.
+    """
+    by_id = {}  # eprint_id -> [submit_year, {discipline: set of ages}, {age: count}]
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        header = next(reader)
+        index = {name: i for i, name in enumerate(header)}
+        columns = [index[c] for c in corpus_mod.LONG_CSV_COLUMNS]
+        row_no = 1
+        for row in reader:
+            if not row:
+                continue
+            row_no += 1
+            row += [None] * (len(header) - len(row))
+            eid, disc = ((row[i] or "").strip() for i in columns[:2])
+            if not eid or not disc:
+                return f"row {row_no}: empty eprint_id or discipline"
+            values = []
+            for i, name in zip(columns[2:], corpus_mod.LONG_CSV_COLUMNS[2:]):
+                try:
+                    values.append(int(row[i]))
+                except (TypeError, ValueError):
+                    return f"row {row_no}: column {name!r} is not an integer: {row[i]!r}"
+            year, age, count = values
+            if age < 0:
+                return f"row {row_no}: negative age {age}"
+            if count < 0:
+                return f"row {row_no}: negative citations_in_year {count}"
+            if year < corpus_mod.MIN_SUBMIT_YEAR:
+                return f"row {row_no}: submit_year {year} predates {corpus_mod.MIN_SUBMIT_YEAR}"
+            first_year, ages_by_disc, counts = by_id.setdefault(eid, [year, {}, {}])
+            if first_year != year:
+                return (f"row {row_no}: eprint {eid!r} submit_year {year} conflicts "
+                        f"with earlier value {first_year}")
+            ages = ages_by_disc.setdefault(disc, set())
+            if age in ages:
+                return (f"row {row_no}: duplicate (eprint_id, discipline, age) = "
+                        f"({eid!r}, {disc!r}, {age})")
+            ages.add(age)
+            known = counts.setdefault(age, count)
+            if known != count:
+                return (f"row {row_no}: eprint {eid!r} age {age} count {count} conflicts "
+                        f"with {known} from another discipline row")
+    if not by_id:
+        return f"{path}: no data rows"
+    records, warnings = [], []
+    for eid in sorted(by_id):
+        year, ages_by_disc, counts = by_id[eid]
+        gaps = [a for a in range(max(counts) + 1) if a not in counts]
+        if gaps:
+            warnings.append(f"eprint {eid}: ages {gaps} absent from file, zero-filled")
+        records.append(rec(eid, year, [counts.get(a, 0) for a in range(max(counts) + 1)],
+                           ages_by_disc))
+    horizon = max(r.submit_year + len(r.yearly_citations) - 1 for r in records)
+    return CitationCorpus(records=records, retrieval_year=horizon), warnings
+
+
+# Mostly valid cells, so that rows reach the conflict and duplicate checks.
+_ROW_CELLS = (
+    st.sampled_from(["a", "b"] * 4 + [" a", "c,d", 'e"f', "g\nh", ""]),
+    st.sampled_from(["x", "y"] * 4 + [" x", ""]),
+    st.sampled_from(["2015"] * 8 + ["2016", "1990", "2_015", "z"]),
+    st.sampled_from(["0", "1", "2"] * 3 + ["3", "-1", " 1 ", ""]),
+    st.sampled_from(["0", "1", "2"] * 3 + ["-1", "1.0", "٣"]),
+)
+
+
+@settings(max_examples=300)
+@given(st.lists(st.one_of(
+    st.tuples(*_ROW_CELLS).map(list),
+    st.tuples(*_ROW_CELLS).map(lambda row: list(row[:3])),  # a short row
+    st.just([]),  # a blank line
+), max_size=14))
+def test_long_csv_matches_sequential_pass(tmp_path_factory, rows):
+    path = tmp_path_factory.mktemp("seq") / "corpus.csv"
+    write_rows(path, rows)
+    expected = sequential_load(path)
+    if isinstance(expected, str):
+        with pytest.raises(DataError) as err:
+            load_corpus(path, "long-csv")
+        assert str(err.value) == expected
+    else:
+        assert load_logged(path) == expected
+
+
 def test_unknown_format_rejected(tmp_path):
     with pytest.raises(SchemaError, match="unknown corpus format"):
         load_corpus(tmp_path / "x.csv", "parquet")
@@ -358,6 +565,106 @@ def test_trend_subsets_validation():
         build_trend_subsets(c, "astro-ph", 2018, 2016, 1.0)
     with pytest.raises(DomainError, match="exceeds retrieval_year"):
         build_trend_subsets(c, "astro-ph", 2018, 2020, 1.0)
+
+
+# --- reductions against per-record loops ----------------------------------------
+#
+# The column reductions must equal these loops over EprintRecords, which
+# are the formulas written out one eprint at a time.
+
+
+def loop_threshold(totals, p):
+    totals = sorted(totals)
+    n = len(totals)
+    cum = 0
+    i = 0
+    while i < n:
+        value = totals[i]
+        while i < n and totals[i] == value:
+            cum += 1
+            i += 1
+        if cum / n >= p:
+            return value, cum
+    return totals[-1], n
+
+
+def loop_age_panel(recs, dataset_year, cap, max_age):
+    recs = [r for r in recs if r.submit_year <= dataset_year]
+    totals = [r.citations_through(dataset_year) for r in recs]
+    threshold, _ = loop_threshold(totals, cap)
+    kept = [r for r, c in zip(recs, totals) if c <= threshold]
+    entries, missing = [], []
+    for age in range(max_age + 1):
+        observable = [r for r in kept if dataset_year - r.submit_year >= age]
+        if not observable:
+            missing.append(age)
+            continue
+        total = sum(
+            r.yearly_citations[age] if age < len(r.yearly_citations) else 0 for r in observable
+        )
+        entries.append(PanelEntry(t=age, u=total / len(observable), n=len(observable)))
+    return tuple(entries), tuple(missing)
+
+
+def loop_scores(recs, discipline, params, dataset_year):
+    scores, warnings = [], []
+    for r in recs:
+        T = dataset_year - r.submit_year
+        c = r.citations_through(dataset_year)
+        if T < 1:
+            warnings.append(f"{r.eprint_id}: not yet 1 year old in {dataset_year}, skipped")
+        elif c < 1:
+            warnings.append(f"{r.eprint_id}: no citations by {dataset_year}, skipped")
+        else:
+            scores.append(GammaScore(r.eprint_id, discipline, T, c, gamma_index(c, T, params)))
+    return scores, warnings
+
+
+@st.composite
+def reduction_cases(draw):
+    n = draw(st.integers(1, 12))
+    records = tuple(
+        EprintRecord(
+            eprint_id=f"e{k:02d}",
+            disciplines=draw(st.frozensets(st.sampled_from("xyz"), min_size=1)),
+            submit_year=draw(st.integers(2000, 2008)),
+            yearly_citations=draw(st.lists(st.integers(0, 6), min_size=1, max_size=9)),
+        )
+        for k in draw(st.permutations(range(n)))
+    )
+    horizon = max(r.submit_year + len(r.yearly_citations) - 1 for r in records)
+    corpus = CitationCorpus(records=records, retrieval_year=horizon)
+    discipline = draw(st.sampled_from(sorted(corpus.disciplines)))
+    dataset_year = draw(st.integers(min(r.submit_year for r in records), horizon))
+    cap = draw(st.sampled_from([0.3, 0.5, 0.75, 0.9, 1.0]))
+    return corpus, discipline, dataset_year, cap, draw(st.integers(1, 10))
+
+
+@given(reduction_cases())
+def test_reductions_match_record_loops(case):
+    corpus, discipline, dataset_year, cap, max_age = case
+    recs = [r for r in corpus.records if discipline in r.disciplines]
+    threshold, n_below = loop_threshold([r.lifetime_citations for r in recs], cap)
+    assert percentile_summary(corpus, discipline, cap) == PercentileSummary(cap, threshold, n_below)
+
+    if any(r.submit_year <= dataset_year for r in recs):
+        panel = build_age_panel(corpus, discipline, dataset_year, cap, max_age)
+        assert (panel.entries, panel.missing_ages) == loop_age_panel(
+            recs, dataset_year, cap, max_age
+        )
+    else:
+        with pytest.raises(DataError, match="no eprints"):
+            build_age_panel(corpus, discipline, dataset_year, cap, max_age)
+
+    params = params_for("astro-ph")
+    scores, warnings = loop_scores(recs, discipline, params, dataset_year)
+    if scores:
+        assert score_eprints(corpus, discipline, params, dataset_year) == (
+            scores, gamma_star_scores(scores), warnings
+        )
+    else:
+        with pytest.raises(InsufficientDataError):
+            score_eprints(corpus, discipline, params, dataset_year)
 
 
 # --- panel type and panel-csv ----------------------------------------------------
