@@ -23,9 +23,9 @@ import logging
 import math
 import sys
 from datetime import datetime, timezone
+from html import escape
 from pathlib import Path
 from typing import NamedTuple, Sequence
-from xml.sax.saxutils import escape
 
 import numpy as np
 
@@ -610,7 +610,7 @@ def emit_plot(series: Sequence[PlotSeries], style: str = "line", out=None):
             )
         else:
             parts.append(f'<circle cx="{lx + 10}" cy="{ly - 4}" r="3" fill="{color}"/>')
-        parts.append(f'<text x="{lx + 26}" y="{ly}">{escape(s.label)}</text>')
+        parts.append(f'<text x="{lx + 26}" y="{ly}">{escape(s.label, quote=False)}</text>')
     parts.append("</svg>")
 
     out = Path(out)

@@ -22,7 +22,6 @@ from dataclasses import dataclass
 from typing import Iterable
 
 import numpy as np
-from scipy.special import ndtr, ndtri
 
 from ._csv import write_csv
 from .errors import (
@@ -52,6 +51,10 @@ def normal_cdf(x):
     Accepts a scalar (returns a float) or an array (returns an array).
     ndtr keeps full relative accuracy deep in the lower tail.
     """
+    # scipy.special is imported on first use: it adds about 0.4 s to the
+    # start of every process that imports citedyn.
+    from scipy.special import ndtr
+
     out = ndtr(np.asarray(x, dtype=float))
     return out if np.ndim(x) else float(out)
 
@@ -72,6 +75,8 @@ def normal_quantile(q):
     qa = np.asarray(q, dtype=float)
     if not np.all((qa > 0.0) & (qa < 1.0)):
         raise DomainError(f"quantile argument must lie in (0, 1), got {q!r}")
+    from scipy.special import ndtri
+
     x = ndtri(qa)
     return x if np.ndim(q) else float(x)
 

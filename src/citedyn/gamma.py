@@ -20,7 +20,6 @@ from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
-from scipy.special import betainc
 
 from ._csv import write_csv
 from .corpus import CitationCorpus
@@ -151,13 +150,15 @@ def score_eprints(
         raise InsufficientDataError(
             f"no scorable eprints in {discipline!r} at {dataset_year}"
         )
+    # gamma_index per eprint, with H(T) computed once per distinct age.
+    H = {T: cumulative_split(params, T).H for T in {T for _, T, _ in usable}}
     scores = [
         GammaScore(
             eprint_id=eid,
             discipline=discipline,
             T=T,
             c=c,
-            gamma=gamma_index(c, T, params),
+            gamma=math.log(c / H[T]),
         )
         for eid, T, c in usable
     ]
@@ -248,6 +249,8 @@ def _t_sf_two_sided(t: float, df: float) -> float:
     # P(|T_df| > |t|) via the regularized incomplete beta function.
     if math.isinf(t):
         return 0.0
+    from scipy.special import betainc
+
     return float(betainc(df / 2.0, 0.5, df / (df + t * t)))
 
 
@@ -316,6 +319,8 @@ def group_stats(
     elif msw == 0.0:
         f_stat, p_value = math.inf, 0.0
     else:
+        from scipy.special import betainc
+
         f_stat = msb / msw
         p_value = float(
             betainc(df_within / 2.0, df_between / 2.0, df_within / (df_within + df_between * f_stat))

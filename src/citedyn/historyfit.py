@@ -48,7 +48,6 @@ from dataclasses import dataclass
 from typing import NamedTuple, Union
 
 import numpy as np
-from scipy.optimize import least_squares
 
 from ._csv import write_csv
 from .corpus import AgePanel
@@ -326,6 +325,18 @@ def _box_callback(t: np.ndarray, u: np.ndarray):
             raise StopIteration
 
     return callback
+
+
+def least_squares(*args, **kwargs):
+    """scipy.optimize.least_squares, imported on first call.
+
+    scipy.optimize adds about 0.7 s to the start of every process that
+    imports it. fit_history looks this name up at call time, so tests and
+    the benchmark's tracer can wrap it.
+    """
+    from scipy.optimize import least_squares
+
+    return least_squares(*args, **kwargs)
 
 
 def fit_history(panel: AgePanel, options: FitOptions | None = None) -> HistoryFit:

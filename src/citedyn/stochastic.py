@@ -34,7 +34,6 @@ from dataclasses import dataclass
 from typing import Iterator
 
 import numpy as np
-from scipy.optimize import least_squares
 
 from . import distfit
 from ._csv import write_csv
@@ -177,6 +176,8 @@ def fit_volatility(m_series) -> VolatilityFit:
         # well-defined (inf) and the solver backs off on its own
         with np.errstate(divide="ignore", over="ignore"):
             return np.sqrt(s2 * np.log1p(t / s1)) - m
+
+    from scipy.optimize import least_squares
 
     res = least_squares(resid, x0=[math.log(s1_0), math.log(s2_0)])
     if not res.success:
@@ -466,7 +467,8 @@ def verify_ensemble(
     ensemble is streamed in blocks; only the per-path counts and the few
     time columns the checks read are kept.
     """
-    # Imported here: it adds about 50 ms to every command that loads citedyn.
+    # Imported here, not with citedyn: scipy.integrate loads scipy.optimize and
+    # scipy.special, about 0.65 s in all, which most commands never use.
     from scipy.integrate import quad
 
     n_steps = config.n_steps

@@ -3,6 +3,7 @@
 import csv
 import json
 import math
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -18,6 +19,7 @@ from _reference import ORACLE, RECKONER_TABLE, make_panel, params_for
 
 ASTRO = params_for("astro-ph")
 SAMPLES = Path(__file__).resolve().parent.parent / "docs" / "samples"
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def small_corpus():
@@ -705,6 +707,55 @@ def test_help_and_version_exit_cleanly(capsys):
     capsys.readouterr()
 
 
+def run_python(*args):
+    """A fresh interpreter that imports citedyn from this source tree."""
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=path))
+
+
+def test_python_m_citedyn_runs_the_cli():
+    proc = run_python("-m", "citedyn", "--help")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("usage: citedyn")
+
+
+IMPORT_FOOTPRINT = """
+import json, sys
+import citedyn, citedyn.cli
+from citedyn.cli import run_command
+
+HEAVY = ("scipy.optimize", "scipy.special", "scipy.integrate", "xml.sax")
+samples, tmp = sys.argv[1:]
+seen = {"import": [m for m in HEAVY if m in sys.modules]}
+codes = [
+    run_command(["ingest", "--input", f"{samples}/corpus.csv", "--out", f"{tmp}/i.json"]),
+    run_command(["simulate", "--fit", f"{samples}/params.json", "--vol", f"{samples}/vol.json",
+                 "--dt", "0.5", "--horizon", "2", "--paths", "16",
+                 "--ensemble-mode", "summary", "--ensemble", f"{tmp}/e.csv",
+                 "--out", f"{tmp}/s.json"]),
+]
+seen["ingest, simulate"] = [m for m in HEAVY if m in sys.modules]
+codes.append(run_command(["fit-history", "--input", f"{samples}/panel_wide.csv",
+                          "--discipline", "example", "--out", f"{tmp}/f.json"]))
+seen["fit-history"] = [m for m in HEAVY if m in sys.modules]
+print(json.dumps({"codes": codes, "seen": seen}))
+"""
+
+
+def test_scipy_loads_only_where_a_command_calls_it(tmp_path):
+    # Every subcommand runs as its own process, so a module citedyn imports
+    # at start-up is paid for by every step of the pipeline.
+    proc = run_python("-c", IMPORT_FOOTPRINT, str(SAMPLES), str(tmp_path))
+    assert proc.returncode == 0, proc.stderr
+    got = json.loads(proc.stdout.splitlines()[-1])
+    assert got["codes"] == [0, 0, 0]
+    assert got["seen"]["import"] == []
+    assert got["seen"]["ingest, simulate"] == []
+    # Deferred, not dropped: the fit still reaches scipy.optimize.
+    assert "scipy.optimize" in got["seen"]["fit-history"]
+
+
 def test_console_script_is_installed(tmp_path, params_json):
     out = tmp_path / "r.json"
     proc = subprocess.run(
@@ -784,3 +835,9 @@ def test_emit_plot_validates_series(tmp_path):
         emit_plot([PlotSeries("a", [1.0], [2.0])], out=tmp_path / "x.svg")
     with pytest.raises(DataError):
         emit_plot([PlotSeries("a", [1.0, 2.0], [2.0])], out=tmp_path / "x.svg")
+
+
+def test_plot_label_escapes_markup_but_not_quotes(tmp_path):
+    svg = tmp_path / "x.svg"
+    emit_plot([PlotSeries("""a & b < c > d " e ' f""", [1.0, 2.0], [1.0, 3.0])], out=svg)
+    assert """>a &amp; b &lt; c &gt; d " e ' f</text>""" in svg.read_text()
