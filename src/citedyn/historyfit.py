@@ -441,7 +441,7 @@ def fit_history(panel: AgePanel, options: FitOptions | None = None) -> HistoryFi
     lam = math.exp(ln_lam)
     params = HistoryParams(
         A=math.exp(ln_a),
-        mu=mu,
+        mu=float(mu),
         sigma=math.exp(ln_sig),
         B=math.exp(ln_b),
         lam=lam,

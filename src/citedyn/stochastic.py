@@ -399,6 +399,12 @@ def ensemble_blocks(
         yield simulate_ensemble(params, vol, config, method, paths=block)
 
 
+def _marginal_log_moments(t: float, params: HistoryParams, vol: VolatilityFit):
+    """(m, s) with ln X(t) ~ N(m, s^2): m = ln u(t) - v/2, s = sqrt(v)."""
+    v = log_variance(float(t), vol)
+    return math.log(eval_history(params, float(t))) - 0.5 * v, math.sqrt(v)
+
+
 def closed_form_density(x, t: float, params: HistoryParams, vol: VolatilityFit):
     """Density of X(t) under the exact dynamics, for t > 0.
 
@@ -409,12 +415,19 @@ def closed_form_density(x, t: float, params: HistoryParams, vol: VolatilityFit):
         raise DomainError(f"density requires t > 0, got {t}")
     scalar = np.ndim(x) == 0
     xa = np.atleast_1d(np.asarray(x, dtype=float))
-    u = eval_history(params, float(t))
-    v = log_variance(float(t), vol)
     out = np.zeros_like(xa)
     pos = xa > 0
-    out[pos] = _lognormal_density(xa[pos], math.log(u) - 0.5 * v, math.sqrt(v))
+    out[pos] = _lognormal_density(xa[pos], *_marginal_log_moments(t, params, vol))
     return float(out[0]) if scalar else out
+
+
+def _density_mass(t: float, params: HistoryParams, vol: VolatilityFit) -> float:
+    """Integral of closed_form_density over x > 0, as verify_ensemble takes it."""
+    m, s = _marginal_log_moments(t, params, vol)
+    # closed_form_density(e^y) e^y is the N(m, s^2) density of y = ln x
+    y = np.linspace(m - 12.0 * s, m + 12.0 * s, 401)
+    x = np.exp(y)
+    return float(np.trapezoid(closed_form_density(x, t, params, vol) * x, y))
 
 
 def count_citations(ensemble: PathEnsemble, mode: str | None = None) -> np.ndarray:
@@ -466,11 +479,14 @@ def verify_ensemble(
     asymptotics. A failed count fit adds a note and observed None. The
     ensemble is streamed in blocks; only the per-path counts and the few
     time columns the checks read are kept.
-    """
-    # Imported here, not with citedyn: scipy.integrate loads scipy.optimize and
-    # scipy.special, about 0.65 s in all, which most commands never use.
-    from scipy.integrate import quad
 
+    The normalization integrates closed_form_density over y = ln x, where
+    ln X(t_mid) ~ N(m, s^2) makes the integrand a Gaussian bell, with the
+    trapezoid rule on 401 nodes spanning m +- 12 s. The rule converges
+    geometrically on such an integrand, so the mass is 1 to within a few
+    ulps (below 1e-13 for s2 from 1e-6 to 10), and the tails cut off hold
+    about 4e-33.
+    """
     n_steps = config.n_steps
     mean_ts = [t for t in (1.0, 5.0, 10.0) if t <= config.horizon + 1e-9]
     t_mid = min(5.0, config.horizon)
@@ -521,26 +537,21 @@ def verify_ensemble(
         }
     )
 
-    mass, _ = quad(
-        lambda x: closed_form_density(x, t_mid, params, vol), 0.0, np.inf, limit=200
-    )
+    mass = _density_mass(t_mid, params, vol)
     checks.append(
         {
             "name": "density_normalization",
-            "observed": float(mass),
+            "observed": mass,
             "expected": 1.0,
             "bound": 1e-6,
             "pass": bool(abs(mass - 1.0) <= 1e-6),
         }
     )
 
-    u_mid = eval_history(params, t_mid)
-    v_mid = log_variance(t_mid, vol)
+    m, s = _marginal_log_moments(t_mid, params, vol)
 
     def lognormal_cdf(x):
-        return distfit.normal_cdf(
-            (np.log(x) - (math.log(u_mid) - 0.5 * v_mid)) / math.sqrt(v_mid)
-        )
+        return distfit.normal_cdf((np.log(x) - m) / s)
 
     ks = _ks_distance(column(int(round(t_mid / config.dt))), lognormal_cdf)
     checks.append(

@@ -1,9 +1,11 @@
 """End-to-end command-line checks, driven in process through run_command."""
 
+import argparse
 import csv
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -526,6 +528,22 @@ def test_verify_reports_overall_pass(tmp_path, params_json):
     assert all(c["pass"] for c in payload["checks"])
 
 
+def test_verify_normalizes_a_narrow_marginal(tmp_path, params_json):
+    # s2 = 1e-6 puts the t = 5 marginal's mass in a sliver quad over
+    # (0, inf) never samples.
+    vol = tmp_path / "vol.json"
+    vol.write_text(json.dumps({"s1": 0.0281, "s2": 1e-6}))
+    out = tmp_path / "verify.json"
+    code = run_command(
+        ["verify", "--fit", str(params_json), "--vol", str(vol), "--dt", "0.5",
+         "--horizon", "10", "--paths", "300", "--out", str(out)]
+    )
+    assert code == 0
+    checks = {c["name"]: c for c in read_envelope(out)["payload"]["checks"]}
+    assert checks["density_normalization"]["pass"] is True
+    assert abs(checks["density_normalization"]["observed"] - 1.0) <= 1e-12
+
+
 @pytest.mark.parametrize(
     "flag, value, message",
     [
@@ -754,6 +772,70 @@ def test_scipy_loads_only_where_a_command_calls_it(tmp_path):
     assert got["seen"]["ingest, simulate"] == []
     # Deferred, not dropped: the fit still reaches scipy.optimize.
     assert "scipy.optimize" in got["seen"]["fit-history"]
+
+
+# One command line per entry of README's "subcommands / scipy submodule
+# loaded" table, on the sample inputs; {s} is docs/samples, {o} a scratch dir.
+README_COMMAND_LINES = {
+    "`fit-history`": "fit-history --input {s}/panel_wide.csv --discipline example",
+    "`trend`": "trend --input {s}/corpus.csv --discipline astro-ph --first-year 2019 --last-year 2019",
+    "`simulate --vol-series`": "simulate --fit {s}/params.json --vol-series {s}/vol_series.csv"
+    " --dt 0.5 --horizon 2 --paths 16",
+    "`fit-dist`": "fit-dist --input {s}/corpus.csv --discipline astro-ph",
+    "`metrics --horizons`": "metrics --fit {s}/params.json --horizons 2,10",
+    "`reckoner`": "reckoner --fit {s}/params.json --citations 5,10 --ages 2:4",
+    "`gamma`": "gamma --input {s}/corpus.csv --discipline astro-ph --fit {s}/params.json",
+    "`verify`": "verify --fit {s}/params.json --vol {s}/vol.json --dt 0.5 --horizon 10 --paths 1000",
+    "`ingest`": "ingest --input {s}/corpus.csv",
+    "`metrics` without `--horizons`": "metrics --fit {s}/params.json",
+    "`simulate`": "simulate --fit {s}/params.json --vol {s}/vol.json --dt 0.5 --horizon 2 --paths 16",
+    "`plot`": "plot --data {s}/vol_series.csv --x t --y m --svg {o}/fig.svg",
+}
+
+RUN_COMMAND_LINES = """
+import json, sys
+from citedyn.cli import run_command
+
+codes = [run_command(argv) for argv in json.loads(sys.argv[1])]
+loaded = [m for m in ("scipy.optimize", "scipy.special", "scipy.integrate") if m in sys.modules]
+print(json.dumps({"codes": codes, "loaded": loaded}))
+"""
+
+
+def readme_scipy_table():
+    """(subcommand entries, scipy submodules) per row of README's table."""
+    lines = (SRC.parent / "README.md").read_text(encoding="utf-8").splitlines()
+    start = lines.index("| subcommands | scipy submodule loaded |") + 2
+    rows = []
+    for line in lines[start:]:
+        if not line.startswith("|"):
+            break
+        commands, loaded = (cell.strip() for cell in line.strip("|").split("|"))
+        assert re.fullmatch(
+            r"none|`scipy\.\w+`( \(which loads `scipy\.\w+`\))?", loaded
+        ), f"unreadable scipy cell: {loaded!r}"
+        rows.append((commands.split(", "), set(re.findall(r"`(scipy\.\w+)`", loaded))))
+    return rows
+
+
+def test_readme_scipy_table_matches_the_commands(tmp_path):
+    rows = readme_scipy_table()
+    subcommands = next(
+        a.choices for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction)
+    )
+    named = {re.match(r"`([\w-]+)", entry)[1] for entries, _ in rows for entry in entries}
+    assert named == set(subcommands)
+    for entries, expected in rows:
+        argvs = [
+            README_COMMAND_LINES[entry].format(s=SAMPLES, o=tmp_path).split()
+            + ["--out", str(tmp_path / "r.json")]
+            for entry in entries
+        ]
+        proc = run_python("-c", RUN_COMMAND_LINES, json.dumps(argvs))
+        assert proc.returncode == 0, proc.stderr
+        got = json.loads(proc.stdout.splitlines()[-1])
+        assert got["codes"] == [0] * len(entries), entries
+        assert set(got["loaded"]) == expected, entries
 
 
 def test_console_script_is_installed(tmp_path, params_json):

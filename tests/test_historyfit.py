@@ -279,6 +279,12 @@ def test_flat_panel_abandons_runaway_starts(monkeypatch):
     assert fit.params.mu == pytest.approx(FLAT_FIT["mu"], rel=1e-6)
 
 
+def test_fitted_parameters_are_python_floats():
+    for panel in (make_panel(ASTRO), flat_panel()):
+        params = fit_history(panel).params
+        assert [type(getattr(params, f)) for f in ("A", "mu", "sigma", "B", "lam")] == [float] * 5
+
+
 def test_programming_errors_propagate(monkeypatch):
     def broken(theta, t):
         raise TypeError("broken model")

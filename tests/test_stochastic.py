@@ -36,9 +36,10 @@ from citedyn.stochastic import (
     verify_ensemble,
     volatility,
     write_ensemble_csv,
+    _density_mass,
 )
 
-from _reference import ORACLE, params_for
+from _reference import ORACLE, REFERENCE_FITS, params_for
 
 ASTRO = params_for("astro-ph")
 VOL = volatility(0.0281, 0.200)
@@ -350,6 +351,50 @@ def test_density_normalizes_and_locates_mass():
     assert closed_form_density(0.0, 5.0, ASTRO, VOL) == 0.0
     with pytest.raises(DomainError):
         closed_form_density(1.0, 0.0, ASTRO, VOL)
+
+
+@pytest.mark.parametrize("s2", [1e-6, 8.0])
+def test_density_normalization_at_extreme_volatility(s2):
+    # quad over (0, inf) returns 0.0 (with an IntegrationWarning) for the
+    # narrow marginal and 0.99392 for the wide one.
+    config = SdeConfig(dt=0.5, horizon=10.0, n_paths=300, seed=0)
+    checks = {c["name"]: c for c in verify_ensemble(ASTRO, volatility(0.0281, s2), config)}
+    check = checks["density_normalization"]
+    assert check["pass"] is True
+    assert abs(check["observed"] - 1.0) <= 1e-12
+
+
+@given(
+    discipline=st.sampled_from(sorted(REFERENCE_FITS)),
+    s1=st.floats(1e-3, 1.0),
+    s2=st.floats(1e-6, 10.0),
+    t=st.floats(0.01, 10.0),
+)
+def test_density_mass_is_one(discipline, s1, s2, t):
+    mass = _density_mass(t, params_for(discipline), volatility(s1, s2))
+    assert abs(mass - 1.0) <= 1e-12
+
+
+def quad_mass(t, params, vol):
+    """Mass of closed_form_density by quad, split at median * e^(k s), |k| <= 8.
+
+    A single quad over (0, inf) misses up to 4e-9 of the mass on the
+    reference volatility; pieces one log-sd wide across the bulk resolve it.
+    """
+    v = vol.s2 * math.log(t / vol.s1 + 1.0)
+    median = eval_history(params, t) * math.exp(-0.5 * v)
+    s = math.sqrt(v)
+    edges = [0.0, *(median * math.exp(k * s) for k in range(-8, 9)), np.inf]
+    return math.fsum(
+        quad(lambda x: closed_form_density(x, t, params, vol), a, b, epsabs=1e-15, limit=200)[0]
+        for a, b in zip(edges, edges[1:])
+    )
+
+
+@given(discipline=st.sampled_from(sorted(REFERENCE_FITS)), t=st.floats(0.01, 10.0))
+def test_density_mass_matches_quad(discipline, t):
+    params = params_for(discipline)
+    assert abs(_density_mass(t, params, VOL) - quad_mass(t, params, VOL)) <= 1e-10
 
 
 def test_simulated_marginal_matches_density():
