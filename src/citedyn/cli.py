@@ -15,6 +15,7 @@ failure.
 from __future__ import annotations
 
 import argparse
+import collections
 import csv
 import dataclasses
 import hashlib
@@ -463,28 +464,32 @@ def _cmd_simulate(args):
     params, _ = _load_fit(args.fit)
     vol, vol_inputs = _load_vol(args)
     config = _sde_config(args)
-    if args.ensemble:
-        # Both CSV layouts need the whole matrix.
-        ensemble = stochastic.simulate_ensemble(params, vol, config, method=args.method)
-        counts = stochastic.count_citations(ensemble)
-        x0 = float(ensemble.paths[0, 0])
-    else:
-        # Only the per-path counts are needed: stream the ensemble in blocks.
-        counts = []
+    counts, x0 = [], None
+
+    def counted_blocks():
+        # The per-path counts are taken from each block as the CSV writer
+        # (or, without --ensemble, the deque below) consumes it, so the
+        # ensemble is simulated once.
+        nonlocal x0
         for block in stochastic.ensemble_blocks(params, vol, config, args.method):
             counts.append(stochastic.count_citations(block))
-        counts = np.concatenate(counts)
-        x0 = float(block.paths[0, 0])  # every path starts at u(0)
+            x0 = float(block.paths[0, 0])  # every path starts at u(0)
+            yield block
+            del block  # freed before the next block is simulated
+
+    if args.ensemble:
+        stochastic.write_ensemble_csv(counted_blocks(), args.ensemble, mode=args.ensemble_mode)
+    else:
+        collections.deque(counted_blocks(), maxlen=0)  # consume, keeping no block
     payload = {
         "params": params.to_dict(),
         "vol": dataclasses.asdict(vol),
         "config": dataclasses.asdict(config),
         "method": args.method,
         "x0": x0,
-        "count_summary": _summary_stats(counts),
+        "count_summary": _summary_stats(np.concatenate(counts)),
     }
     if args.ensemble:
-        stochastic.write_ensemble_csv(ensemble, args.ensemble, mode=args.ensemble_mode)
         payload["ensemble"] = Path(args.ensemble).name
     return payload, [args.fit] + vol_inputs, []
 

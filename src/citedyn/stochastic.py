@@ -19,19 +19,20 @@ O(dt) weak error and does not preserve positivity.
 Every path owns a counter-based stream keyed by (seed, path index), so
 ensembles are reproducible bit for bit however the paths are split: one
 vectorized kernel simulates them BLOCK_PATHS at a time, ensemble_blocks
-streams them block by block to consumers that need only per-path totals
-or a few time columns (the `simulate` count summary, verify_ensemble),
-and any range of paths reproduces the matching rows of the full
-ensemble. The kernel is serial; `threads` and CITEDYN_THREADS are
-validated but no longer change the work.
+streams them block by block to consumers that need only per-path totals,
+a few time columns or one path at a time (the `simulate` count summary,
+verify_ensemble, the per-path CSV dump), and any range of paths
+reproduces the matching rows of the full ensemble. The kernel is serial;
+`threads` and CITEDYN_THREADS are validated but no longer change the work.
 """
 
 from __future__ import annotations
 
 import math
 import os
+import sys
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -72,6 +73,10 @@ COUNTING_MODES = ("integral-floor", "yearly-floor-sum")
 # Paths per streamed block: ensemble_blocks' unit, and the rows of normals
 # simulate_ensemble draws at a time.
 BLOCK_PATHS = 256
+
+# Columns per strip of the summary layout's reductions, which bounds their
+# temporaries to a strip instead of a copy of the whole matrix.
+STRIP_COLUMNS = 64
 
 # s1 landing outside this window after the polish means the volatility
 # model is unidentified on the given series.
@@ -424,8 +429,13 @@ def closed_form_density(x, t: float, params: HistoryParams, vol: VolatilityFit):
 def _density_mass(t: float, params: HistoryParams, vol: VolatilityFit) -> float:
     """Integral of closed_form_density over x > 0, as verify_ensemble takes it."""
     m, s = _marginal_log_moments(t, params, vol)
-    # closed_form_density(e^y) e^y is the N(m, s^2) density of y = ln x
-    y = np.linspace(m - 12.0 * s, m + 12.0 * s, 401)
+    # closed_form_density(e^y) e^y is the N(m, s^2) density of y = ln x.
+    # Where x = e^y is subnormal the density itself can exceed the float
+    # range (at s2 = 200, for y below about -738), however it is written,
+    # so the nodes start no lower than ln(DBL_MIN). That binds only for very
+    # wide marginals: at s2 = 200 it cuts about 2e-9 of the mass.
+    lo = max(m - 12.0 * s, math.log(sys.float_info.min))
+    y = np.linspace(lo, m + 12.0 * s, 401)
     x = np.exp(y)
     return float(np.trapezoid(closed_form_density(x, t, params, vol) * x, y))
 
@@ -713,26 +723,83 @@ def simulate_timing_clt(config: TimingSimConfig) -> TimingCltReport:
 # --- serialization ----------------------------------------------------------
 
 
-def write_ensemble_csv(ensemble: PathEnsemble, path, mode: str = "paths") -> None:
+def write_ensemble_csv(
+    ensemble: PathEnsemble | Iterable[PathEnsemble], path, mode: str = "paths"
+) -> None:
     """Dump an ensemble as `path_id,t,x` rows, or per-time summary stats.
 
+    ensemble is one PathEnsemble or consecutive blocks of one, such as
+    ensemble_blocks yields; path ids count on across blocks. mode "paths"
+    writes each block as it arrives, so it never holds more than one.
     mode "summary" writes `t,mean,var,q05,q50,q95` with the variance taken
-    across paths (ddof=1 when there are at least 2 paths).
+    across paths (ddof=1 when there are at least 2 paths); its exact
+    per-column quantiles need every path, so blocks are gathered into one
+    (n_paths, n_steps + 1) matrix, sized from the first block's config,
+    and reduced in strips of about STRIP_COLUMNS columns. Either layout
+    is byte-identical however the ensemble is split into blocks.
     """
     if mode not in ("paths", "summary"):
         raise DomainError(f"mode must be 'paths' or 'summary', got {mode!r}")
+    single = isinstance(ensemble, PathEnsemble)
     if mode == "summary":
-        ddof = 1 if ensemble.paths.shape[0] > 1 else 0
-        means = ensemble.paths.mean(axis=0)
-        varis = ensemble.paths.var(axis=0, ddof=ddof)
-        qs = np.quantile(ensemble.paths, [0.05, 0.5, 0.95], axis=0)
+        grid, paths = (ensemble.grid, ensemble.paths) if single else _gather(ensemble)
         write_csv(path, ["t", "mean", "var", "q05", "q50", "q95"],
-                  zip(ensemble.grid.tolist(), means.tolist(), varis.tolist(), *qs.tolist()))
+                  zip(grid.tolist(), *_summary_columns(paths).tolist()))
         return
-    # No cell of the paths layout needs csv quoting, so each path is joined
-    # as text. Converting one path at a time bounds the Python floats.
     with open(path, "w", newline="", encoding="utf-8") as fh:
         fh.write("path_id,t,x\n")
-        t_cells = [f",{t!r}," for t in ensemble.grid.tolist()]
-        for pid, row in enumerate(ensemble.paths):
-            fh.write("".join([f"{pid}{t}{x!r}\n" for t, x in zip(t_cells, row.tolist())]))
+        pid = 0
+        for block in [ensemble] if single else ensemble:
+            pid = _write_path_rows(fh, block, pid)
+            del block  # freed before the next block is simulated
+
+
+def _write_path_rows(fh, block: PathEnsemble, first_pid: int) -> int:
+    """Write a block's `path_id,t,x` rows from first_pid on; returns the next id.
+
+    No cell of the layout needs csv quoting, so each path is joined as
+    text. Converting one path at a time bounds the Python floats.
+    """
+    t_cells = [f",{t!r}," for t in block.grid.tolist()]
+    for pid, row in enumerate(block.paths, first_pid):
+        fh.write("".join([f"{pid}{t}{x!r}\n" for t, x in zip(t_cells, row.tolist())]))
+    return first_pid + block.paths.shape[0]
+
+
+def _gather(blocks: Iterable[PathEnsemble]) -> tuple[np.ndarray, np.ndarray]:
+    """(grid, paths) of consecutive blocks, copied into one preallocated matrix."""
+    paths = None
+    filled = 0
+    for block in blocks:
+        if paths is None:
+            grid = block.grid
+            paths = np.empty((block.config.n_paths, grid.size))
+        rows = block.paths.shape[0]
+        if filled + rows > paths.shape[0]:
+            raise DataError(f"blocks hold more than the config's {paths.shape[0]} paths")
+        paths[filled : filled + rows] = block.paths
+        filled += rows
+        del block  # freed before the next block is simulated
+    if paths is None:
+        raise DataError("no paths to summarize")
+    return grid, paths[:filled]
+
+
+def _summary_columns(paths: np.ndarray) -> np.ndarray:
+    """Rows mean, var, q05, q50, q95 of each column of paths.
+
+    Each statistic is the whole-matrix reduction bit for bit. Strips are
+    near-equal and at least 2 columns wide: numpy sums a one-column strip
+    pairwise, not row by row as it sums the whole matrix along axis 0.
+    """
+    n_paths, width = paths.shape
+    ddof = 1 if n_paths > 1 else 0
+    out = np.empty((5, width))
+    n_strips = -(-width // STRIP_COLUMNS)
+    edges = [width * k // n_strips for k in range(n_strips + 1)]
+    for lo, hi in zip(edges, edges[1:]):
+        strip = paths[:, lo:hi]
+        out[0, lo:hi] = strip.mean(axis=0)
+        out[1, lo:hi] = strip.var(axis=0, ddof=ddof)
+        out[2:, lo:hi] = np.quantile(strip, [0.05, 0.5, 0.95], axis=0)
+    return out

@@ -613,24 +613,26 @@ def test_streamed_commands_never_hold_the_whole_ensemble(tmp_path, params_json, 
     payloads = {}
     for tag, argv in [
         ("verify", ["verify", *base]),
-        ("streamed", ["simulate", *base]),
-        ("full", ["simulate", *base, "--ensemble", str(tmp_path / "paths.csv")]),
+        ("counts", ["simulate", *base]),
+        ("paths", ["simulate", *base, "--ensemble", str(tmp_path / "paths.csv")]),
+        ("summary", ["simulate", *base, "--ensemble-mode", "summary",
+                     "--ensemble", str(tmp_path / "summary.csv")]),
     ]:
         shapes.clear()
         out = tmp_path / f"{tag}.json"
         assert run_command(argv + ["--out", str(out)]) == 0
         payloads[tag] = read_envelope(out)["payload"]
-        if tag == "full":
-            assert shapes == [(n_paths, 21)]
-        else:
-            assert max(rows for rows, _ in shapes) <= stochastic.BLOCK_PATHS
-            assert sum(rows for rows, _ in shapes) == n_paths
+        assert max(rows for rows, _ in shapes) <= stochastic.BLOCK_PATHS
+        assert sum(rows for rows, _ in shapes) == n_paths
     with open(tmp_path / "paths.csv", newline="") as fh:
         assert sum(1 for _ in fh) == 1 + n_paths * 21
-    for key in ("count_summary", "x0", "config"):
-        assert payloads["streamed"][key] == payloads["full"][key]
+    with open(tmp_path / "summary.csv", newline="") as fh:
+        assert sum(1 for _ in fh) == 1 + 21
+    for tag in ("paths", "summary"):
+        for key in ("count_summary", "x0", "config"):
+            assert payloads["counts"][key] == payloads[tag][key]
     assert list(payloads["verify"]["config"]) == ["dt", "horizon", "n_paths", "seed", "counting_mode"]
-    assert payloads["verify"]["config"] == payloads["full"]["config"]
+    assert payloads["verify"]["config"] == payloads["counts"]["config"]
 
 
 # --- trend ------------------------------------------------------------------------------

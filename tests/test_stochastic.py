@@ -20,6 +20,7 @@ from citedyn.errors import (
 from citedyn.historyfit import HistoryParams, eval_history
 from citedyn.stochastic import (
     BLOCK_PATHS,
+    STRIP_COLUMNS,
     PathEnsemble,
     SdeConfig,
     TimingSimConfig,
@@ -397,6 +398,14 @@ def test_density_mass_matches_quad(discipline, t):
     assert abs(_density_mass(t, params, VOL) - quad_mass(t, params, VOL)) <= 1e-10
 
 
+def test_density_mass_of_a_wide_marginal():
+    # ln X(5) ~ N(-519.8, 32.2^2): where x is subnormal the density
+    # exceeds the float range, and integrating over it gave inf. Any numpy
+    # warning fails the test.
+    mass = _density_mass(5.0, ASTRO, volatility(0.0281, 200.0))
+    assert abs(mass - 1.0) <= 1e-6
+
+
 def test_simulated_marginal_matches_density():
     ens = simulate(n_paths=10_000)
     i = int(np.argmin(np.abs(ens.grid - 5.0)))
@@ -527,12 +536,7 @@ def test_ensemble_csv_paths_and_summary(tmp_path):
     assert len(rows) == 5 * 5
     assert float(rows[0]["x"]) == ens.paths[0, 0]
     # Every line, not just the first: repr round-trips each float exactly.
-    expected = ["path_id,t,x"] + [
-        f"{pid},{t!r},{x!r}"
-        for pid in range(ens.paths.shape[0])
-        for t, x in zip(ens.grid.tolist(), ens.paths[pid].tolist())
-    ]
-    assert p_paths.read_text(encoding="utf-8") == "\n".join(expected) + "\n"
+    assert p_paths.read_text(encoding="utf-8") == whole_matrix_csv(ens, "paths")
 
     p_sum = tmp_path / "summary.csv"
     write_ensemble_csv(ens, p_sum, mode="summary")
@@ -544,3 +548,82 @@ def test_ensemble_csv_paths_and_summary(tmp_path):
 
     with pytest.raises(DomainError):
         write_ensemble_csv(ens, tmp_path / "bad.csv", mode="wide")
+
+
+def whole_matrix_csv(ens, mode):
+    """The layout as a writer holding the whole matrix writes it: each summary
+    statistic is one numpy reduction over all paths at once."""
+    if mode == "paths":
+        lines = ["path_id,t,x"] + [
+            f"{pid},{t!r},{x!r}"
+            for pid in range(ens.paths.shape[0])
+            for t, x in zip(ens.grid.tolist(), ens.paths[pid].tolist())
+        ]
+    else:
+        ddof = 1 if ens.paths.shape[0] > 1 else 0
+        columns = [
+            ens.grid,
+            ens.paths.mean(axis=0),
+            ens.paths.var(axis=0, ddof=ddof),
+            *np.quantile(ens.paths, [0.05, 0.5, 0.95], axis=0),
+        ]
+        lines = ["t,mean,var,q05,q50,q95"] + [
+            ",".join(repr(v) for v in row) for row in zip(*(c.tolist() for c in columns))
+        ]
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("mode", ["paths", "summary"])
+@pytest.mark.parametrize(
+    "n_paths, horizon",
+    [
+        (2 * BLOCK_PATHS + 88, 10.0),  # a ragged last block
+        (1, 10.0),  # ddof 0
+        # 129 columns: 64-column strips would leave one column, which numpy
+        # sums pairwise instead of row by row
+        (BLOCK_PATHS + 44, 2 * STRIP_COLUMNS * 0.5),
+    ],
+)
+def test_layouts_written_from_blocks_match_the_whole_matrix(tmp_path, mode, n_paths, horizon):
+    config = SdeConfig(dt=0.5, horizon=horizon, n_paths=n_paths, seed=6)
+    full = simulate_ensemble(ASTRO, VOL, config)
+    expected = whole_matrix_csv(full, mode)
+    for tag, source in [("blocks", ensemble_blocks(ASTRO, VOL, config)), ("whole", full)]:
+        out = tmp_path / f"{tag}.csv"
+        write_ensemble_csv(source, out, mode)
+        assert out.read_text(encoding="utf-8") == expected
+
+
+def test_summary_needs_blocks_that_fit_their_config(tmp_path):
+    ens = simulate(n_paths=3)
+    for blocks in ([], [ens, ens]):
+        with pytest.raises(DataError):
+            write_ensemble_csv(iter(blocks), tmp_path / "s.csv", mode="summary")
+
+
+def test_paths_layout_holds_one_block_at_a_time(tmp_path, peak_bytes):
+    # The first write in a process allocates about 1 MB once; keep it out.
+    config = SdeConfig(dt=0.1, horizon=10.0, n_paths=1, seed=1)
+    write_ensemble_csv(ensemble_blocks(ASTRO, VOL, config), tmp_path / "warm.csv")
+    block_bytes = BLOCK_PATHS * (config.n_steps + 1) * 8
+    peaks = []
+    for blocks in (4, 8):
+        config = dataclasses.replace(config, n_paths=blocks * BLOCK_PATHS)
+        peaks.append(peak_bytes(
+            write_ensemble_csv, ensemble_blocks(ASTRO, VOL, config), tmp_path / "paths.csv"
+        ))
+    # One block, the normals it is drawn from and one row's text.
+    assert peaks[0] < 3 * block_bytes
+    assert peaks[1] < peaks[0] + block_bytes // 10
+
+
+def test_summary_layout_holds_one_matrix(tmp_path, peak_bytes):
+    # As above, the one-time allocations of a first write are kept out.
+    config = SdeConfig(dt=0.02, horizon=10.0, n_paths=1, seed=1)
+    write_ensemble_csv(ensemble_blocks(ASTRO, VOL, config), tmp_path / "warm.csv", "summary")
+    config = dataclasses.replace(config, n_paths=16 * BLOCK_PATHS)
+    matrix_bytes = config.n_paths * (config.n_steps + 1) * 8
+    peak = peak_bytes(
+        write_ensemble_csv, ensemble_blocks(ASTRO, VOL, config), tmp_path / "s.csv", "summary"
+    )
+    assert peak < 1.25 * matrix_bytes
