@@ -95,6 +95,12 @@ LN_A_MARGIN = 6.0
 STATUS_ABANDONED = -2   # least_squares status when the callback stops a start
 MAX_NFEV = 1000         # residual evaluations allowed per start
 
+# fit_history stops a start whose iterate comes this close (max-abs over
+# ln A, mu, ln sigma, ln B; lambda's cost is flat beyond saturation) to the
+# optimum of an earlier start (see _box_callback).
+JOIN_TOL = 1e-2
+STATUS_JOINED = -3      # least_squares status when a start joins a kept optimum
+
 
 # --- model ------------------------------------------------------------------
 
@@ -211,7 +217,10 @@ class FitDiagnostics:
     accepted iterate left the identifiable box (least_squares status -2).
     failed: (start index, message) for each start whose optimizer raised.
     best_start, best_status: grid index and least_squares status of the
-    winning start. nfev: residual evaluations over all starts that ran.
+    winning start. nfev: residual evaluations over all starts that ran,
+    joined ones included. joined: starts stopped because an accepted
+    iterate came within JOIN_TOL of an optimum an earlier start found
+    (status -3).
     """
 
     starts: int
@@ -220,11 +229,13 @@ class FitDiagnostics:
     best_start: int
     best_status: int
     nfev: int
+    joined: int = 0
 
     def to_dict(self) -> dict:
         return {
             "starts": self.starts,
             "abandoned": self.abandoned,
+            "joined": self.joined,
             "failed": [{"start": i, "message": m} for i, m in self.failed],
             "best_start": self.best_start,
             "best_status": self.best_status,
@@ -296,8 +307,22 @@ def _seed_scales(t: np.ndarray, u: np.ndarray, mu0: float, sig0: float) -> tuple
     return a0, b0
 
 
-def _box_callback(t: np.ndarray, u: np.ndarray):
-    """least_squares callback that abandons a start leaving the identifiable box.
+class _Joined(Exception):
+    """Raised by the fit callback to stop a start that joined a kept optimum.
+
+    scipy reports every callback stop as status -2, the status of a start
+    that left the box; least_squares below turns this one into a result
+    with STATUS_JOINED instead.
+    """
+
+    def __init__(self, x: np.ndarray, cost: float, nfev: int):
+        super().__init__()
+        self.x, self.cost, self.nfev = x, cost, nfev
+
+
+def _box_callback(t: np.ndarray, u: np.ndarray, kept: list):
+    """least_squares callback that abandons a start leaving the identifiable box
+    and stops one that joins an optimum already found.
 
     The panel sees the lognormal f(t + 1; mu, sigma) only at shifted ages
     t + 1 in [1, T_max + 1], so it cannot pin the parameters down along
@@ -313,16 +338,29 @@ def _box_callback(t: np.ndarray, u: np.ndarray):
       A curve that stays near the data then has more than 1 - e^-6, over
       99.7%, of that mass outside the observed ages.
 
+    Inside the box, a start joins once its iterate lies within JOIN_TOL,
+    in max-abs distance over (ln A, mu, ln sigma, ln B), of an entry of
+    kept: the (ln A, mu, ln sigma, ln B) of each earlier start that
+    succeeded. It has walked into a basin whose optimum is already known,
+    and iterating on would only reach that optimum again. This is the
+    clustering idea of multi-level single linkage (Rinnooy Kan & Timmer,
+    Math. Programming 39:27, 1987). The callback raises _Joined, which
+    least_squares turns into status STATUS_JOINED.
+
     least_squares calls this after every iteration with the current
-    iterate, which moves only when a step is accepted. A start that stays
-    inside the box therefore follows exactly the path it would without the
-    callback.
+    iterate, which moves only when a step is accepted. Until it joins, a
+    start that stays inside the box therefore follows exactly the path it
+    would without the callback.
     """
     ln_a_max = math.log(float(np.max(u))) + math.log(float(np.max(t)) + 1.0) + LN_A_MARGIN
 
-    def callback(x):
+    def callback(intermediate_result):
+        x = intermediate_result.x
         if x[1] < MU_FLOOR or x[0] > ln_a_max:
             raise StopIteration
+        if any(np.max(np.abs(x[:4] - k)) < JOIN_TOL for k in kept):
+            raise _Joined(x.copy(), float(intermediate_result.cost),
+                          int(intermediate_result.nfev))
 
     return callback
 
@@ -332,11 +370,19 @@ def least_squares(*args, **kwargs):
 
     scipy.optimize adds about 0.7 s to the start of every process that
     imports it. fit_history looks this name up at call time, so tests and
-    the benchmark's tracer can wrap it.
+    the benchmark's tracer can wrap it. A start its callback stops with
+    _Joined returns a result with status STATUS_JOINED and the iterate,
+    cost and nfev at the stop.
     """
-    from scipy.optimize import least_squares
+    from scipy.optimize import OptimizeResult, least_squares
 
-    return least_squares(*args, **kwargs)
+    try:
+        return least_squares(*args, **kwargs)
+    except _Joined as stop:
+        return OptimizeResult(
+            x=stop.x, cost=stop.cost, nfev=stop.nfev, status=STATUS_JOINED, success=False,
+            message="Stopped because an iterate joined an optimum an earlier start found",
+        )
 
 
 def fit_history(panel: AgePanel, options: FitOptions | None = None) -> HistoryFit:
@@ -350,9 +396,13 @@ def fit_history(panel: AgePanel, options: FitOptions | None = None) -> HistoryFi
     ln A <= ln max(u) + ln(T_max + 1) + LN_A_MARGIN, with T_max the
     panel's largest age (see _box_callback). The box is a stopping rule,
     not a bound, so it does not change the path of a start that stays
-    inside it. The best surviving start by residual cost wins; converged
-    is False when it did not satisfy the optimizer's tolerances. The
-    result's diagnostics record what every start did.
+    inside it. The final iterate of every start that succeeds is kept, and
+    a later start joins (status -3) and stops as soon as an accepted
+    iterate lies within JOIN_TOL of a kept one in (ln A, mu, ln sigma,
+    ln B): its basin's optimum is already known. The best surviving start
+    by residual cost among those not joined wins; converged is False when
+    it did not satisfy the optimizer's tolerances. The result's
+    diagnostics record what every start did.
 
     Raises:
         InsufficientDataError: fewer than 6 usable ages.
@@ -382,13 +432,14 @@ def fit_history(panel: AgePanel, options: FitOptions | None = None) -> HistoryFi
 
     lower = np.full(N_PARAMS, -np.inf)
     upper = np.array([np.inf, np.inf, np.inf, np.inf, math.log(LAMBDA_BOUND)])
-    callback = _box_callback(t, u)
+    kept = []
+    callback = _box_callback(t, u, kept)
 
     grid = list(itertools.product(MU_STARTS, SIGMA_STARTS, LAMBDA_STARTS))
     best = None
     best_cost = np.inf
     best_start = -1
-    abandoned = nfev = 0
+    abandoned = joined = nfev = 0
     failed = []
     for i, (mu0, sig0, lam0) in enumerate(grid):
         a0, b0 = _seed_scales(t, u, mu0, sig0)
@@ -409,7 +460,13 @@ def fit_history(panel: AgePanel, options: FitOptions | None = None) -> HistoryFi
         nfev += res.nfev
         if res.status == STATUS_ABANDONED:
             abandoned += 1
-        elif res.cost < best_cost:
+            continue
+        if res.status == STATUS_JOINED:
+            joined += 1
+            continue
+        if res.status > 0:
+            kept.append(res.x[:4].copy())
+        if res.cost < best_cost:
             best, best_cost, best_start = res, res.cost, i
     if best is None:
         detail = f"; first failure: start {failed[0][0]}, {failed[0][1]}" if failed else ""
@@ -424,6 +481,7 @@ def fit_history(panel: AgePanel, options: FitOptions | None = None) -> HistoryFi
         best_start=best_start,
         best_status=int(best.status),
         nfev=nfev,
+        joined=joined,
     )
 
     theta = best.x.copy()
@@ -580,13 +638,18 @@ class TrendPoint(NamedTuple):
 def trend_metrics(panels) -> list[TrendPoint]:
     """Fit each panel independently and map to (S, R, I) per dataset year.
 
-    Years whose fit fails to converge are flagged with NaN metrics rather
-    than dropped, so the output always aligns with the input years.
+    Years whose fit fails to converge, or where no start survives
+    (ConvergenceError), are flagged with NaN metrics rather than dropped,
+    so the output always aligns with the input years. A panel too thin or
+    all zero still raises.
     """
     points = []
     for panel in panels:
-        fit = fit_history(panel)
-        if fit.converged:
+        try:
+            fit = fit_history(panel)
+        except ConvergenceError:
+            fit = None
+        if fit is not None and fit.converged:
             m = derive_metrics(fit)
             points.append(
                 TrendPoint(panel.dataset_year, m.s_rate, m.r_rate, m.i_rate, True)

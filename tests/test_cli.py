@@ -237,7 +237,9 @@ def test_fit_history_from_panel_csv(tmp_path):
     assert not got["lambda_capped"]
     assert payload["converged"]
     diagnostics = payload["diagnostics"]
-    assert set(diagnostics) == {"starts", "abandoned", "failed", "best_start", "best_status", "nfev"}
+    assert set(diagnostics) == {
+        "starts", "abandoned", "joined", "failed", "best_start", "best_status", "nfev"
+    }
     assert diagnostics["starts"] == 36
     assert diagnostics["abandoned"] == 0
     assert diagnostics["failed"] == []

@@ -279,6 +279,35 @@ def test_flat_panel_abandons_runaway_starts(monkeypatch):
     assert fit.params.mu == pytest.approx(FLAT_FIT["mu"], rel=1e-6)
 
 
+@pytest.mark.parametrize("panel", [make_panel(ASTRO), flat_panel()], ids=["astro", "flat"])
+def test_diagnostics_account_for_every_start(monkeypatch, panel):
+    statuses = _record_statuses(monkeypatch)
+    d = fit_history(panel).diagnostics
+    assert d.starts == len(statuses)
+    assert d.joined == statuses.count(historyfit.STATUS_JOINED) > 0
+    assert d.abandoned == statuses.count(historyfit.STATUS_ABANDONED)
+    assert statuses[d.best_start] == d.best_status > 0
+    # nothing is kept before the first start that succeeds, so none joins
+    first_success = next(i for i, status in enumerate(statuses) if status > 0)
+    assert historyfit.STATUS_JOINED not in statuses[:first_success]
+    assert d.to_dict()["joined"] == d.joined
+
+
+def test_joined_start_is_reported_with_its_own_status():
+    def resid(theta):
+        return theta - 1.0
+
+    def callback(intermediate_result):
+        raise historyfit._Joined(intermediate_result.x.copy(), intermediate_result.cost,
+                                 intermediate_result.nfev)
+
+    res = historyfit.least_squares(resid, np.zeros(2), method="trf", callback=callback)
+    assert res.status == historyfit.STATUS_JOINED
+    assert not res.success
+    assert res.nfev >= 1
+    assert res.cost == pytest.approx(0.5 * np.sum(resid(res.x) ** 2))
+
+
 def test_fitted_parameters_are_python_floats():
     for panel in (make_panel(ASTRO), flat_panel()):
         params = fit_history(panel).params
@@ -461,6 +490,29 @@ def test_trend_metrics_composition():
         assert point.converged
         assert point.s_rate == pytest.approx(1.0 / math.expm1(w * w), rel=1e-3)
         assert point.i_rate == pytest.approx(1.0 / point.r_rate, rel=1e-12)
+
+
+def test_trend_year_without_a_surviving_start_is_a_nan_point(monkeypatch):
+    panels = [make_panel(ASTRO, dataset_year=2018), make_panel(ASTRO, dataset_year=2019)]
+    fit = historyfit.fit_history
+
+    def failing_2019(panel, options=None):
+        if panel.dataset_year == 2019:
+            raise ConvergenceError("no optimization start survived")
+        return fit(panel, options)
+
+    monkeypatch.setattr(historyfit, "fit_history", failing_2019)
+    points = trend_metrics(panels)
+    assert [p.dataset_year for p in points] == [2018, 2019]
+    assert points[0].converged
+    assert math.isfinite(points[0].s_rate)
+    assert not points[1].converged
+    assert all(math.isnan(v) for v in (points[1].s_rate, points[1].r_rate, points[1].i_rate))
+
+
+def test_trend_still_raises_on_unusable_panels():
+    with pytest.raises(InsufficientDataError):
+        trend_metrics([make_panel(ASTRO, max_age=4)])
 
 
 # --- serialization -----------------------------------------------------------------
