@@ -96,10 +96,11 @@ STATUS_ABANDONED = -2   # least_squares status when the callback stops a start
 MAX_NFEV = 1000         # residual evaluations allowed per start
 
 # fit_history stops a start whose iterate comes this close (max-abs over
-# ln A, mu, ln sigma, ln B; lambda's cost is flat beyond saturation) to the
-# optimum of an earlier start (see _box_callback).
+# ln A, mu, ln sigma, ln B; lambda's cost is flat beyond saturation) to an
+# accepted iterate of an earlier start: it joins a start that succeeded or
+# joined, and is abandoned with one that was abandoned (see _box_callback).
 JOIN_TOL = 1e-2
-STATUS_JOINED = -3      # least_squares status when a start joins a kept optimum
+STATUS_JOINED = -3      # least_squares status when a start joins a known path
 
 
 # --- model ------------------------------------------------------------------
@@ -143,14 +144,14 @@ class HistoryParams:
     lambda_capped: bool = False
 
     def __post_init__(self):
-        if not self.A > 0:
-            raise DomainError(f"A must be positive, got {self.A}")
-        if not self.sigma > 0:
-            raise DomainError(f"sigma must be positive, got {self.sigma}")
-        if not self.B > 0:
-            raise DomainError(f"B must be positive, got {self.B}")
-        if not self.lam > 0:
-            raise DomainError(f"lambda must be positive, got {self.lam}")
+        if not math.isfinite(self.mu):
+            raise DomainError(f"mu must be finite, got {self.mu}")
+        for name, value in (("A", self.A), ("sigma", self.sigma), ("B", self.B),
+                            ("lambda", self.lam)):
+            if not (value > 0 and math.isfinite(value)):
+                raise DomainError(f"{name} must be positive and finite, got {value}")
+        if not isinstance(self.lambda_capped, bool):
+            raise DomainError(f"lambda_capped must be true or false, got {self.lambda_capped!r}")
 
     def to_dict(self) -> dict:
         return {
@@ -170,7 +171,7 @@ class HistoryParams:
             sigma=float(data["sigma"]),
             B=float(data["B"]),
             lam=float(data["lambda"]),
-            lambda_capped=bool(data.get("lambda_capped", False)),
+            lambda_capped=data.get("lambda_capped", False),
         )
 
 
@@ -219,8 +220,9 @@ class FitDiagnostics:
     best_start, best_status: grid index and least_squares status of the
     winning start. nfev: residual evaluations over all starts that ran,
     joined ones included. joined: starts stopped because an accepted
-    iterate came within JOIN_TOL of an optimum an earlier start found
-    (status -3).
+    iterate came within JOIN_TOL of an accepted iterate of an earlier start
+    that succeeded or joined (status -3). A start whose iterate comes
+    within JOIN_TOL of one of an abandoned start is abandoned too (-2).
     """
 
     starts: int
@@ -308,10 +310,10 @@ def _seed_scales(t: np.ndarray, u: np.ndarray, mu0: float, sig0: float) -> tuple
 
 
 class _Joined(Exception):
-    """Raised by the fit callback to stop a start that joined a kept optimum.
+    """Raised by the fit callback to stop a start that joined a known path.
 
     scipy reports every callback stop as status -2, the status of a start
-    that left the box; least_squares below turns this one into a result
+    that was abandoned; least_squares below turns this one into a result
     with STATUS_JOINED instead.
     """
 
@@ -320,9 +322,43 @@ class _Joined(Exception):
         self.x, self.cost, self.nfev = x, cost, nfev
 
 
-def _box_callback(t: np.ndarray, u: np.ndarray, kept: list):
+class _Paths:
+    """Accepted iterates (ln A, mu, ln sigma, ln B) of the starts of one fit.
+
+    won is a (k, 4) array of the iterates of the starts that succeeded,
+    final x included, or joined; lost holds those of the starts that were
+    abandoned. current collects the running start's iterates, and end()
+    files them under its status, so each array grows once per finished
+    start. A start that failed or ran out of evaluations adds nothing.
+    """
+
+    def __init__(self):
+        self.won = np.empty((0, 4))
+        self.lost = np.empty((0, 4))
+        self.current = []
+
+    def end(self, res=None) -> None:
+        """File the running start's iterates under res.status (None: it failed)."""
+        path, self.current = self.current, []
+        if res is None or res.status == 0:
+            return
+        if res.status == STATUS_ABANDONED:
+            self.lost = np.vstack([self.lost, *path])
+        else:
+            if res.status > 0:
+                path.append(res.x[:4])
+            self.won = np.vstack([self.won, *path])
+
+
+def _reaches(x: np.ndarray, path: np.ndarray) -> bool:
+    """Whether x lies within JOIN_TOL, max-abs over its first four
+    coordinates, of some row of path."""
+    return path.size > 0 and bool((np.abs(path - x[:4]) < JOIN_TOL).all(axis=1).any())
+
+
+def _box_callback(t: np.ndarray, u: np.ndarray, paths: _Paths):
     """least_squares callback that abandons a start leaving the identifiable box
-    and stops one that joins an optimum already found.
+    and stops one that reaches the path of an earlier start.
 
     The panel sees the lognormal f(t + 1; mu, sigma) only at shifted ages
     t + 1 in [1, T_max + 1], so it cannot pin the parameters down along
@@ -338,17 +374,20 @@ def _box_callback(t: np.ndarray, u: np.ndarray, kept: list):
       A curve that stays near the data then has more than 1 - e^-6, over
       99.7%, of that mass outside the observed ages.
 
-    Inside the box, a start joins once its iterate lies within JOIN_TOL,
-    in max-abs distance over (ln A, mu, ln sigma, ln B), of an entry of
-    kept: the (ln A, mu, ln sigma, ln B) of each earlier start that
-    succeeded. It has walked into a basin whose optimum is already known,
-    and iterating on would only reach that optimum again. This is the
-    clustering idea of multi-level single linkage (Rinnooy Kan & Timmer,
-    Math. Programming 39:27, 1987). The callback raises _Joined, which
-    least_squares turns into status STATUS_JOINED.
+    Inside the box, the iterate is compared, in max-abs distance over
+    (ln A, mu, ln sigma, ln B), with the accepted iterates of the earlier
+    starts that paths holds. Within JOIN_TOL of one in paths.won, the
+    path of a start that succeeded or joined, the start joins: from there
+    it would only walk on to an optimum already known. The callback raises
+    _Joined, which least_squares turns into status STATUS_JOINED. Within
+    JOIN_TOL of one in paths.lost, the path of an abandoned start, it is
+    abandoned (status -2), as that start was. This is the clustering idea
+    of multi-level single linkage (Rinnooy Kan & Timmer, Math. Programming
+    39:27, 1987), applied to whole paths rather than to optima alone.
+    Every iterate the callback sees goes to paths.current.
 
     least_squares calls this after every iteration with the current
-    iterate, which moves only when a step is accepted. Until it joins, a
+    iterate, which moves only when a step is accepted. Until it stops, a
     start that stays inside the box therefore follows exactly the path it
     would without the callback.
     """
@@ -356,11 +395,14 @@ def _box_callback(t: np.ndarray, u: np.ndarray, kept: list):
 
     def callback(intermediate_result):
         x = intermediate_result.x
+        paths.current.append(x[:4].copy())
         if x[1] < MU_FLOOR or x[0] > ln_a_max:
             raise StopIteration
-        if any(np.max(np.abs(x[:4] - k)) < JOIN_TOL for k in kept):
+        if _reaches(x, paths.won):
             raise _Joined(x.copy(), float(intermediate_result.cost),
                           int(intermediate_result.nfev))
+        if _reaches(x, paths.lost):
+            raise StopIteration
 
     return callback
 
@@ -396,12 +438,15 @@ def fit_history(panel: AgePanel, options: FitOptions | None = None) -> HistoryFi
     ln A <= ln max(u) + ln(T_max + 1) + LN_A_MARGIN, with T_max the
     panel's largest age (see _box_callback). The box is a stopping rule,
     not a bound, so it does not change the path of a start that stays
-    inside it. The final iterate of every start that succeeds is kept, and
-    a later start joins (status -3) and stops as soon as an accepted
-    iterate lies within JOIN_TOL of a kept one in (ln A, mu, ln sigma,
-    ln B): its basin's optimum is already known. The best surviving start
-    by residual cost among those not joined wins; converged is False when
-    it did not satisfy the optimizer's tolerances. The result's
+    inside it. The accepted iterates of every start are kept, in
+    (ln A, mu, ln sigma, ln B): those of starts that succeeded (the final
+    x included) or joined apart from those of starts that were abandoned.
+    A later start stops as soon as an accepted iterate lies within
+    JOIN_TOL of a kept one. It joins (status -3) the path of a start that
+    succeeded or joined, which leads to a known optimum, and is abandoned
+    (status -2) on the path of an abandoned start. The best surviving
+    start by residual cost among those not joined wins; converged is False
+    when it did not satisfy the optimizer's tolerances. The result's
     diagnostics record what every start did.
 
     Raises:
@@ -432,8 +477,8 @@ def fit_history(panel: AgePanel, options: FitOptions | None = None) -> HistoryFi
 
     lower = np.full(N_PARAMS, -np.inf)
     upper = np.array([np.inf, np.inf, np.inf, np.inf, math.log(LAMBDA_BOUND)])
-    kept = []
-    callback = _box_callback(t, u, kept)
+    paths = _Paths()
+    callback = _box_callback(t, u, paths)
 
     grid = list(itertools.product(MU_STARTS, SIGMA_STARTS, LAMBDA_STARTS))
     best = None
@@ -455,8 +500,10 @@ def fit_history(panel: AgePanel, options: FitOptions | None = None) -> HistoryFi
                 callback=callback,
             )
         except (ValueError, np.linalg.LinAlgError) as exc:
+            paths.end()
             failed.append((i, f"{type(exc).__name__}: {exc}"))
             continue
+        paths.end(res)
         nfev += res.nfev
         if res.status == STATUS_ABANDONED:
             abandoned += 1
@@ -464,15 +511,14 @@ def fit_history(panel: AgePanel, options: FitOptions | None = None) -> HistoryFi
         if res.status == STATUS_JOINED:
             joined += 1
             continue
-        if res.status > 0:
-            kept.append(res.x[:4].copy())
         if res.cost < best_cost:
             best, best_cost, best_start = res, res.cost, i
     if best is None:
         detail = f"; first failure: start {failed[0][0]}, {failed[0][1]}" if failed else ""
         raise ConvergenceError(
             f"no optimization start survived: {abandoned} of {len(grid)} abandoned "
-            f"outside the identifiable box, {len(failed)} failed{detail}"
+            f"outside the identifiable box or on an abandoned path, "
+            f"{len(failed)} failed{detail}"
         )
     diagnostics = FitDiagnostics(
         starts=len(grid),

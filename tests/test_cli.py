@@ -296,6 +296,14 @@ def test_metrics_accepts_fit_envelopes(tmp_path, params_json):
     assert read_envelope(out_a)["payload"] == read_envelope(out_b)["payload"]
 
 
+@pytest.mark.parametrize("change", [{"mu": math.nan}, {"A": math.inf},
+                                    {"lambda_capped": "false"}], ids=["nan-mu", "inf-A", "str-flag"])
+def test_metrics_rejects_unusable_fit_values(tmp_path, change):
+    fit = tmp_path / "fit.json"
+    fit.write_text(json.dumps({**ASTRO.to_dict(), **change}))  # NaN and Infinity as JSON tokens
+    assert run_command(["metrics", "--fit", str(fit), "--out", str(tmp_path / "r.json")]) == 2
+
+
 def test_reckoner_matches_library_and_reference(tmp_path, params_json):
     out = tmp_path / "r.json"
     table_csv = tmp_path / "table.csv"

@@ -87,6 +87,25 @@ def test_params_validation_and_dict_round_trip():
     assert HistoryParams.from_dict(d) == HEP
 
 
+@pytest.mark.parametrize("field, value", [
+    ("A", math.inf), ("mu", math.nan), ("mu", -math.inf), ("sigma", math.inf),
+    ("B", math.nan), ("lam", math.inf),
+])
+def test_params_reject_non_finite_fields(field, value):
+    fields = dict(A=1.0, mu=1.0, sigma=0.8, B=0.1, lam=1.0)
+    with pytest.raises(DomainError):
+        HistoryParams(**{**fields, field: value})
+
+
+def test_params_reject_a_capped_flag_that_is_not_a_bool():
+    d = ASTRO.to_dict()
+    for flag in ("false", "true", 0, 1, None):
+        with pytest.raises(DomainError, match="lambda_capped"):
+            HistoryParams.from_dict({**d, "lambda_capped": flag})
+    del d["lambda_capped"]
+    assert HistoryParams.from_dict(d) == ASTRO
+
+
 # --- cumulative split ----------------------------------------------------------
 
 
@@ -291,6 +310,61 @@ def test_diagnostics_account_for_every_start(monkeypatch, panel):
     first_success = next(i for i, status in enumerate(statuses) if status > 0)
     assert historyfit.STATUS_JOINED not in statuses[:first_success]
     assert d.to_dict()["joined"] == d.joined
+
+
+@pytest.mark.parametrize("panel", [make_panel(ASTRO), flat_panel()], ids=["astro", "flat"])
+def test_joins_never_change_the_winner(monkeypatch, panel):
+    fit = fit_history(panel)
+    monkeypatch.setattr(historyfit, "JOIN_TOL", 0.0)  # no start joins
+    alone = fit_history(panel)
+    assert alone.diagnostics.joined == 0 < fit.diagnostics.joined
+    for name in ("A", "mu", "sigma", "B"):
+        assert getattr(fit.params, name) == pytest.approx(getattr(alone.params, name), rel=1e-4)
+    assert fit.params.lambda_capped == alone.params.lambda_capped
+    assert fit.diagnostics.nfev < alone.diagnostics.nfev
+
+
+def _first_start(paths):
+    """fit_history's first start on the noiseless astro-ph panel, run with
+    the fit callback over paths."""
+    panel = make_panel(ASTRO)
+    t = np.array([e.t for e in panel.entries], dtype=float)
+    u = np.array([e.u for e in panel.entries], dtype=float)
+    mu0, sig0, lam0 = (historyfit.MU_STARTS[0], historyfit.SIGMA_STARTS[0],
+                       historyfit.LAMBDA_STARTS[0])
+    a0, b0 = historyfit._seed_scales(t, u, mu0, sig0)
+    x0 = np.array([math.log(a0), mu0, math.log(sig0), math.log(b0), math.log(lam0)])
+    return historyfit.least_squares(
+        lambda theta: historyfit._model_theta(theta, t) - u, x0,
+        jac=lambda theta: historyfit._jac_theta(theta, t), method="trf",
+        callback=historyfit._box_callback(t, u, paths))
+
+
+@pytest.mark.parametrize("store, status", [("won", historyfit.STATUS_JOINED),
+                                           ("lost", historyfit.STATUS_ABANDONED)],
+                         ids=["won", "lost"])
+def test_callback_stops_a_start_that_reaches_a_stored_path(store, status):
+    paths = historyfit._Paths()
+    free = _first_start(paths)
+    assert free.status > 0
+    path = np.array(paths.current)
+    assert len(path) >= 3
+    # one iterate halfway along, shifted by half the tolerance
+    stored = path[len(path) // 2] + 0.5 * historyfit.JOIN_TOL
+    paths = historyfit._Paths()
+    setattr(paths, store, stored[None, :])
+    res = _first_start(paths)
+    assert res.status == status
+    assert res.nfev < free.nfev
+    assert np.max(np.abs(res.x[:4] - stored)) < historyfit.JOIN_TOL
+    # the start's own iterates wait for fit_history to file them
+    assert paths.current and getattr(paths, store).shape == (1, 4)
+
+
+def test_flat_panel_fit_spends_under_two_thousand_evaluations():
+    # Starts that reach an abandoned start's path stop there, so the
+    # unidentified panel no longer walks each runaway direction again.
+    assert fit_history(flat_panel()).diagnostics.nfev < 2000
 
 
 def test_joined_start_is_reported_with_its_own_status():
