@@ -119,25 +119,25 @@ def _parse_number_list(text: str, flag: str) -> list[float]:
 
 
 def _sniff_format(path) -> str:
+    """The format whose every column the header names, in any order."""
     with open_csv(path) as fh:
-        header = fh.readline()
-    first = header.split(",")[0].strip().lower()
-    if first == "eprint_id":
+        header = set(next(csv.reader(fh), ()))
+    if header.issuperset(corpus.LONG_CSV_COLUMNS):
         return "long-csv"
-    if first == "discipline":
+    if header.issuperset(corpus.PANEL_CSV_COLUMNS):
         return "panel-csv"
     raise UsageError(
-        f"{path}: cannot infer format from header; pass --format long-csv|panel-csv"
+        f"{path}: cannot infer format: the header holds neither every long-csv column "
+        f"{list(corpus.LONG_CSV_COLUMNS)} nor every panel-csv column "
+        f"{list(corpus.PANEL_CSV_COLUMNS)}"
     )
 
 
 def _load_corpus(args) -> corpus.CitationCorpus:
-    fmt = args.format or _sniff_format(args.input)
+    fmt = _sniff_format(args.input)
     if fmt != "long-csv":
         raise UsageError(f"this subcommand needs long-csv input, got {fmt}")
-    return corpus.load_corpus(
-        args.input, "long-csv", retrieval_year=getattr(args, "retrieval_year", None)
-    )
+    return corpus.load_corpus(args.input, "long-csv")
 
 
 def _load_json(path) -> dict:
@@ -354,7 +354,7 @@ def _cmd_fit_history(args):
         # how the panel was built upstream.
         panel = _truncate_panel(panel, args.max_age, args.cap)
     else:
-        corp = _load_corpus(args)
+        corp = corpus.load_corpus(args.input, "long-csv")
         year = args.dataset_year if args.dataset_year is not None else corp.retrieval_year
         cap = args.cap if args.cap is not None else DEFAULT_CAP
         panel = corpus.build_age_panel(corp, args.discipline, year, cap, args.max_age)
@@ -752,7 +752,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("fit-dist", help="fit citation-count distribution models on the quantile scale")
     p.add_argument("--input", required=True, help="long-csv corpus")
-    p.add_argument("--format", choices=("long-csv",), help=argparse.SUPPRESS)
     p.add_argument("--discipline", required=True)
     p.add_argument("--dataset-year", type=int, help="count citations through this year (default: lifetime)")
     p.add_argument("--exclude-zero", action="store_true", help="drop zero-citation eprints before ranking")
@@ -783,7 +782,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("trend", help="refit a discipline year by year and track its metrics")
     p.add_argument("--input", required=True, help="long-csv corpus")
-    p.add_argument("--format", choices=("long-csv",), help=argparse.SUPPRESS)
     p.add_argument("--discipline", required=True)
     p.add_argument("--first-year", type=int, required=True)
     p.add_argument("--last-year", type=int, required=True)
@@ -795,7 +793,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gamma", help="score eprints against their discipline's fitted curve")
     p.add_argument("--input", required=True, help="long-csv corpus")
-    p.add_argument("--format", choices=("long-csv",), help=argparse.SUPPRESS)
     p.add_argument("--discipline", required=True)
     p.add_argument("--fit", required=True, help="fit envelope or bare parameter JSON")
     p.add_argument("--dataset-year", type=int, help="evaluation year (default: retrieval year)")

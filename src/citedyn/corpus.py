@@ -8,9 +8,10 @@ the mean-yearly-citations series u_i that the history-curve regression
 consumes. All aggregation runs in exact integer arithmetic until the
 final division.
 
-A long-csv file is parsed by numpy's C reader. A file that reader
-refuses is read again with csv.reader and int(), so a file loads exactly
-when its integer cells follow int()'s grammar and fit in int64.
+Both file formats take an integer cell exactly when it follows int()'s
+grammar and fits in int64. A long-csv file is parsed by numpy's C
+reader in one chunked pass; a file that reader refuses is read again
+with csv.reader and int().
 """
 
 from __future__ import annotations
@@ -50,10 +51,14 @@ PANEL_CSV_COLUMNS = ("discipline", "dataset_year", "age", "n_eprints", "total_ci
 # Earliest plausible submission year for the archives this schema models.
 MIN_SUBMIT_YEAR = 1991
 
-# Rows of id and discipline strings parsed at a time. Each chunk is turned
-# into integer codes before the next is read, so the loader never holds
-# the strings of the whole file.
+# Long-csv rows parsed at a time. Each chunk's strings are turned into
+# integer codes before the next is read, so the loader never holds the
+# strings of the whole file.
 _CHUNK_ROWS = 16_384
+
+# A long-csv row as numpy's reader parses it, in LONG_CSV_COLUMNS order:
+# the two strings, then the three integers as one field.
+_ROW_DTYPE = np.dtype([("id", object), ("disc", object), ("ints", np.int64, 3)])
 
 _INT64 = np.iinfo(np.int64)
 
@@ -298,13 +303,6 @@ class AgePanel:
 # --- ingestion -------------------------------------------------------------
 
 
-def _parse_int(value: str, column: str, row_no: int) -> int:
-    try:
-        return int(value)
-    except (TypeError, ValueError):
-        raise DataError(f"row {row_no}: column {column!r} is not an integer: {value!r}") from None
-
-
 def _check_header(fieldnames, required: tuple[str, ...], path) -> None:
     present = set(fieldnames or ())
     missing = [c for c in required if c not in present]
@@ -383,34 +381,28 @@ class _Rows(NamedTuple):
     bad: tuple[int, str] | None = None
 
 
-def _loadtxt(fh, dtype, usecols, max_rows=None) -> np.ndarray:
-    with warnings.catch_warnings():
-        # Blank lines and a file without data rows are valid input here.
-        warnings.filterwarnings("ignore", "Input line", UserWarning)
-        warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
-        # comments=None: an id may contain '#'.
-        return np.loadtxt(fh, dtype=dtype, delimiter=",", quotechar='"', comments=None,
-                          usecols=usecols, max_rows=max_rows, ndmin=2)
-
-
-def _read_rows(path, fh, columns) -> _Rows:
+def _read_rows(fh, columns) -> _Rows:
     """Data rows through numpy's C reader; ValueError if it refuses one.
 
-    fh is positioned after the header. The integer columns come from one
-    pass over a second handle, the strings from fh in chunks.
+    fh is positioned after the header and read once, _CHUNK_ROWS rows at a
+    time. Each chunk's strings are coded and its integers copied out
+    before the next chunk is read.
     """
-    i_id, i_disc, *i_ints = columns
-    with open_csv(path) as ints_fh:
-        next(csv.reader(ints_fh))
-        years, ages, counts = _loadtxt(ints_fh, np.int64, i_ints).T.copy()
-    ids, discs = _Codes(), _Codes()
+    ids, discs, ints = _Codes(), _Codes(), []
     while True:
-        chunk = _loadtxt(fh, object, (i_id, i_disc), max_rows=_CHUNK_ROWS)
-        ids.add(chunk[:, 0])
-        discs.add(chunk[:, 1])
+        with warnings.catch_warnings():
+            # Blank lines and a file without data rows are valid input here.
+            warnings.filterwarnings("ignore", "Input line", UserWarning)
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
+            # comments=None: an id may contain '#'.
+            chunk = np.loadtxt(fh, dtype=_ROW_DTYPE, delimiter=",", quotechar='"', comments=None,
+                               usecols=columns, max_rows=_CHUNK_ROWS, ndmin=1)
+        ids.add(chunk["id"])
+        discs.add(chunk["disc"])
+        ints.append(chunk["ints"].T.copy())
         if len(chunk) < _CHUNK_ROWS:
             break
-    return _Rows(*ids.result(), *discs.result(), years, ages, counts)
+    return _Rows(*ids.result(), *discs.result(), *np.concatenate(ints, axis=1))
 
 
 def _int64_cell(value, column: str) -> int:
@@ -536,7 +528,7 @@ def _load_long_csv(path, retrieval_year: int | None) -> CitationCorpus:
         index = {name: i for i, name in enumerate(header)}
         columns = [index[c] for c in LONG_CSV_COLUMNS]
         try:
-            rows = _read_rows(path, fh, columns)
+            rows = _read_rows(fh, columns)
         except ValueError:
             rows = None
     if rows is None:
@@ -603,10 +595,10 @@ def _load_panel_csv(path) -> list[AgePanel]:
             disc = (row.get("discipline") or "").strip()
             if not disc:
                 raise DataError(f"row {row_no}: empty discipline")
-            year = _parse_int(row["dataset_year"], "dataset_year", row_no)
-            age = _parse_int(row["age"], "age", row_no)
-            n = _parse_int(row["n_eprints"], "n_eprints", row_no)
-            total = _parse_int(row["total_citations"], "total_citations", row_no)
+            try:
+                year, age, n, total = (_int64_cell(row[c], c) for c in PANEL_CSV_COLUMNS[1:])
+            except ValueError as exc:
+                raise DataError(f"row {row_no}: {exc}") from None
             if age < 0:
                 raise DataError(f"row {row_no}: negative age {age}")
             if n < 1:

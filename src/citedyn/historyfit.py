@@ -165,14 +165,26 @@ class HistoryParams:
 
     @classmethod
     def from_dict(cls, data: dict) -> "HistoryParams":
+        """Parameters from their JSON object; each numeric field must be a
+        JSON number, not a string or a boolean."""
         return cls(
-            A=float(data["A"]),
-            mu=float(data["mu"]),
-            sigma=float(data["sigma"]),
-            B=float(data["B"]),
-            lam=float(data["lambda"]),
+            A=_json_number(data, "A"),
+            mu=_json_number(data, "mu"),
+            sigma=_json_number(data, "sigma"),
+            B=_json_number(data, "B"),
+            lam=_json_number(data, "lambda"),
             lambda_capped=data.get("lambda_capped", False),
         )
+
+
+def _json_number(data: dict, key: str) -> float:
+    value = data[key]
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise DomainError(f"{key} must be a number, got {value!r}")
+    try:
+        return float(value)
+    except OverflowError:
+        raise DomainError(f"{key} must be finite") from None
 
 
 def _components(params: HistoryParams, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

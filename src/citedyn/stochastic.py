@@ -98,10 +98,9 @@ class VolatilityFit:
     n: int
 
     def __post_init__(self):
-        if not self.s1 > 0:
-            raise DomainError(f"s1 must be positive, got {self.s1}")
-        if not self.s2 > 0:
-            raise DomainError(f"s2 must be positive, got {self.s2}")
+        for name, value in (("s1", self.s1), ("s2", self.s2)):
+            if not (value > 0 and math.isfinite(value)):
+                raise DomainError(f"{name} must be positive and finite, got {value}")
 
     @classmethod
     def from_dict(cls, data: dict) -> "VolatilityFit":

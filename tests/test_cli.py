@@ -183,6 +183,65 @@ def test_unrecognized_header_needs_explicit_format(tmp_path):
     assert run_command(["ingest", "--input", str(weird), "--out", str(tmp_path / "r.json")]) == 1
 
 
+def reorder_columns(src, dest, first):
+    """Copy a CSV with the column named `first` moved to the front."""
+    with open(src, newline="") as fh:
+        rows = list(csv.reader(fh))
+    i = rows[0].index(first)
+    with open(dest, "w", newline="") as fh:
+        csv.writer(fh).writerows([row[i], *row[:i], *row[i + 1:]] for row in rows)
+
+
+@pytest.mark.parametrize("fmt, first, argv", [
+    ("long-csv", "discipline", ["ingest"]),
+    ("long-csv", "discipline", ["fit-dist", "--discipline", "astro-ph"]),
+    ("long-csv", "age", ["gamma", "--discipline", "astro-ph", "--fit", str(SAMPLES / "params.json")]),
+    ("panel-csv", "age", ["ingest"]),
+], ids=["ingest-long", "fit-dist-long", "gamma-long", "ingest-panel"])
+def test_format_is_sniffed_from_the_header_column_set(tmp_path, fmt, first, argv):
+    sample = SAMPLES / ("corpus.csv" if fmt == "long-csv" else "panel.csv")
+    reordered = tmp_path / "reordered.csv"
+    reorder_columns(sample, reordered, first)
+    payloads = []
+    for path in (sample, reordered):
+        out = tmp_path / "r.json"
+        assert run_command([argv[0], "--input", str(path), *argv[1:], "--out", str(out)]) == 0
+        payloads.append(read_envelope(out)["payload"])
+    assert payloads[1] == payloads[0]
+    if argv == ["ingest"]:
+        assert payloads[0]["format"] == fmt
+
+
+@pytest.mark.parametrize("argv", [
+    ["fit-dist"],
+    ["trend", "--first-year", "2019", "--last-year", "2019"],
+    ["gamma", "--fit", str(SAMPLES / "params.json")],
+], ids=["fit-dist", "trend", "gamma"])
+def test_long_csv_only_commands_take_no_format_flag(tmp_path, corpus_csv, capsys, argv):
+    out = str(tmp_path / "r.json")
+    common = [*argv, "--input", str(corpus_csv), "--discipline", "astro-ph", "--out", out]
+    assert run_command(common) == 0
+    assert run_command([*common, "--format", "long-csv"]) == 1
+    assert "unrecognized arguments: --format long-csv" in capsys.readouterr().err
+
+
+def test_ingest_rejects_a_panel_total_beyond_int64(tmp_path, capsys):
+    panel = tmp_path / "panel.csv"
+    total = "1" + "0" * 400
+    panel.write_text(f"{','.join(corpus.PANEL_CSV_COLUMNS)}\nx,2019,0,2,{total}\n")
+    assert run_command(["ingest", "--input", str(panel), "--out", str(tmp_path / "r.json")]) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: row 2: column 'total_citations' does not fit in int64: {total!r}\n"
+
+
+def test_library_warnings_reach_the_envelope(tmp_path):
+    gapped = tmp_path / "gapped.csv"
+    gapped.write_text(f"{','.join(corpus.LONG_CSV_COLUMNS)}\na,x,2015,0,1\na,x,2015,2,1\n")
+    out = tmp_path / "r.json"
+    assert run_command(["ingest", "--input", str(gapped), "--out", str(out)]) == 0
+    assert read_envelope(out)["warnings"] == ["eprint a: ages [1] absent from file, zero-filled"]
+
+
 # --- fit-dist / fit-history -------------------------------------------------------
 
 
@@ -269,6 +328,27 @@ def test_fit_history_unknown_discipline_is_a_data_error(tmp_path):
     assert code == 2
 
 
+def test_fit_history_from_long_csv(tmp_path):
+    from _reference import DRIFT_DISCIPLINE, drift_corpus
+
+    path = tmp_path / "drift.csv"
+    corpus.write_long_csv(drift_corpus(), path)
+    out = tmp_path / "r.json"
+    argv = ["fit-history", "--input", str(path), "--discipline", DRIFT_DISCIPLINE,
+            "--out", str(out)]
+    assert run_command(argv) == 0
+    payload = read_envelope(out)["payload"]
+    # Defaults: the retrieval year, the default cap and the default age span.
+    corp = corpus.load_corpus(path, "long-csv")
+    panel = corpus.build_age_panel(corp, DRIFT_DISCIPLINE, corp.retrieval_year,
+                                   cli.DEFAULT_CAP, cli.DEFAULT_MAX_AGE)
+    fit = historyfit.fit_history(panel)
+    assert payload["dataset_year"] == corp.retrieval_year
+    assert payload["percentile_cap"] == cli.DEFAULT_CAP
+    assert payload["params"] == fit.params.to_dict()
+    assert payload["converged"]
+
+
 # --- metrics / reckoner --------------------------------------------------------------
 
 
@@ -297,7 +377,10 @@ def test_metrics_accepts_fit_envelopes(tmp_path, params_json):
 
 
 @pytest.mark.parametrize("change", [{"mu": math.nan}, {"A": math.inf},
-                                    {"lambda_capped": "false"}], ids=["nan-mu", "inf-A", "str-flag"])
+                                    {"lambda_capped": "false"}, {"A": "2.19"}, {"B": True},
+                                    {"sigma": None}, {"mu": 10**400}],
+                         ids=["nan-mu", "inf-A", "str-flag", "str-A", "bool-B", "null-sigma",
+                              "huge-mu"])
 def test_metrics_rejects_unusable_fit_values(tmp_path, change):
     fit = tmp_path / "fit.json"
     fit.write_text(json.dumps({**ASTRO.to_dict(), **change}))  # NaN and Infinity as JSON tokens
@@ -505,6 +588,18 @@ def test_simulate_accepts_vol_json(tmp_path, params_json):
     env = read_envelope(out)
     assert env["payload"]["vol"]["s1"] == 0.0281
     assert set(env["input_digest"]) == {"params.json", "vol.json"}
+
+
+@pytest.mark.parametrize("vol", [{"s1": math.inf, "s2": 0.2}, {"s1": 0.0281, "s2": math.inf}],
+                         ids=["inf-s1", "inf-s2"])
+@pytest.mark.parametrize("command", ["simulate", "verify"])
+def test_non_finite_volatility_is_a_data_error(tmp_path, params_json, capsys, command, vol):
+    path = tmp_path / "vol.json"
+    path.write_text(json.dumps(vol))  # Infinity as a JSON token
+    argv = [command, "--fit", str(params_json), "--vol", str(path), *SIM_ARGS,
+            "--out", str(tmp_path / "r.json")]
+    assert run_command(argv) == 2
+    assert "must be positive and finite, got inf" in capsys.readouterr().err
 
 
 def test_verify_reports_overall_pass(tmp_path, params_json):

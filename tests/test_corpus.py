@@ -2,6 +2,7 @@
 
 import csv
 import logging
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -439,12 +440,15 @@ _ROW_CELLS = (
 )
 
 
-@settings(max_examples=300)
-@given(st.lists(st.one_of(
+_ROWS = st.lists(st.one_of(
     st.tuples(*_ROW_CELLS).map(list),
     st.tuples(*_ROW_CELLS).map(lambda row: list(row[:3])),  # a short row
     st.just([]),  # a blank line
-), max_size=14))
+), max_size=14)
+
+
+@settings(max_examples=300)
+@given(_ROWS)
 def test_long_csv_matches_sequential_pass(tmp_path_factory, rows):
     path = tmp_path_factory.mktemp("seq") / "corpus.csv"
     write_rows(path, rows)
@@ -455,6 +459,45 @@ def test_long_csv_matches_sequential_pass(tmp_path_factory, rows):
         assert str(err.value) == expected
     else:
         assert load_logged(path) == expected
+
+
+@settings(max_examples=150)
+@given(_ROWS, st.integers(1, 3))
+def test_long_csv_chunk_size_changes_nothing(tmp_path_factory, rows, chunk_rows):
+    path = tmp_path_factory.mktemp("chunks") / "corpus.csv"
+    write_rows(path, rows)
+    expected = sequential_load(path)
+    with mock.patch.object(corpus_mod, "_CHUNK_ROWS", chunk_rows):
+        if isinstance(expected, str):
+            with pytest.raises(DataError) as err:
+                load_corpus(path, "long-csv")
+            assert str(err.value) == expected
+        else:
+            assert load_logged(path) == expected
+
+
+@given(corpora(), st.integers(1, 4))
+def test_long_csv_round_trips_at_any_chunk_size(tmp_path_factory, original, chunk_rows):
+    path = tmp_path_factory.mktemp("chunks") / "corpus.csv"
+    write_long_csv(original, path)
+    with mock.patch.object(corpus_mod, "_CHUNK_ROWS", chunk_rows):
+        assert load_corpus(path, "long-csv") == original
+
+
+def test_long_csv_is_read_over_one_handle(tmp_path, monkeypatch):
+    # A file numpy's reader takes is opened once; one it refuses once more.
+    opened, open_csv = [], corpus_mod.open_csv
+
+    def open_counted(path):
+        opened.append(path)
+        return open_csv(path)
+
+    monkeypatch.setattr(corpus_mod, "open_csv", open_counted)
+    good, odd = tmp_path / "good.csv", tmp_path / "odd.csv"
+    good.write_text(f"{HEADER}\na,x,2015,0,1\n", encoding="utf-8")
+    odd.write_text(f"{HEADER}\na,x,2_015,0,1\n", encoding="utf-8")
+    assert load_corpus(good, "long-csv") == load_corpus(odd, "long-csv")
+    assert opened == [good, odd, odd]
 
 
 def test_unknown_format_rejected(tmp_path):
@@ -743,6 +786,23 @@ def test_panel_csv_errors(tmp_path):
     )
     with pytest.raises(DataError, match="row 3.*duplicate"):
         load_corpus(path2, "panel-csv")
+
+
+def test_panel_csv_integer_cells_follow_the_long_csv_grammar(tmp_path):
+    path = tmp_path / "panels.csv"
+    write_rows(path, [["x", "2_019", " 0 ", "٣", 6]], header=corpus_mod.PANEL_CSV_COLUMNS)
+    assert load_corpus(path, "panel-csv")[0].entries == (PanelEntry(0, 2.0, 3),)
+    for column, cell, fault in (
+        ("total_citations", str(10**400), "does not fit in int64"),
+        ("n_eprints", str(2**63), "does not fit in int64"),
+        ("age", "1.0", "is not an integer"),
+    ):
+        row = dict(discipline="x", dataset_year=2019, age=0, n_eprints=1, total_citations=1)
+        write_rows(path, [[*row.values()], [*{**row, "age": 1, column: cell}.values()]],
+                   header=corpus_mod.PANEL_CSV_COLUMNS)
+        with pytest.raises(DataError) as err:
+            load_corpus(path, "panel-csv")
+        assert str(err.value) == f"row 3: column {column!r} {fault}: {cell!r}"
 
 
 def test_ingestion_is_deterministic(tmp_path):

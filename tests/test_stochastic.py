@@ -54,6 +54,9 @@ def test_volatility_validation_and_dict_round_trip():
         volatility(0.0, 0.2)
     with pytest.raises(DomainError):
         volatility(0.1, -0.2)
+    for s1, s2 in ((math.inf, 0.2), (0.1, math.inf)):
+        with pytest.raises(DomainError, match="must be positive and finite"):
+            volatility(s1, s2)
     d = dataclasses.asdict(VOL)
     assert d["s1"] == 0.0281 and d["s2"] == 0.200
     assert type(VOL).from_dict(d).s1 == VOL.s1
