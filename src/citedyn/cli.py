@@ -144,7 +144,7 @@ def _load_json(path) -> dict:
     try:
         with open(path, "r", encoding="utf-8-sig") as fh:
             data = json.load(fh)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError, or an integer past int()'s digit limit
         raise DataError(f"{path}: not valid JSON ({exc})")
     if not isinstance(data, dict):
         raise DataError(f"{path}: expected a JSON object")
@@ -254,7 +254,7 @@ def _sde_config(args) -> stochastic.SdeConfig:
 
 
 def _cmd_ingest(args):
-    fmt = args.format or _sniff_format(args.input)
+    fmt = _sniff_format(args.input)
     if fmt == "panel-csv":
         panels = corpus.load_corpus(args.input, "panel-csv")
         payload = {
@@ -346,8 +346,7 @@ def _truncate_panel(panel, max_age, cap):
 
 
 def _cmd_fit_history(args):
-    fmt = args.format or _sniff_format(args.input)
-    if fmt == "panel-csv":
+    if _sniff_format(args.input) == "panel-csv":
         panels = corpus.load_corpus(args.input, "panel-csv")
         panel = _select_panel(panels, args.discipline, args.dataset_year)
         # The aggregate format cannot be re-capped; --cap only annotates
@@ -743,7 +742,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("ingest", parents=[], help="validate a corpus file and summarize it")
     p.add_argument("--input", required=True, help="corpus CSV")
-    p.add_argument("--format", choices=("long-csv", "panel-csv"), help="input format (default: sniffed from header)")
     p.add_argument("--retrieval-year", type=int, help="override the derived retrieval year (long-csv)")
     p.add_argument("--percentiles", help="comma list of percentile levels to report, e.g. 0.5,0.9,0.99")
     p.add_argument("--echo", help="write the normalized corpus back out as long-csv")
@@ -764,7 +762,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("fit-history", help="fit the yearly-rate history model to an age panel")
     p.add_argument("--input", required=True, help="long-csv corpus or panel-csv aggregate")
-    p.add_argument("--format", choices=("long-csv", "panel-csv"), help="input format (default: sniffed)")
     p.add_argument("--discipline", required=True)
     p.add_argument("--dataset-year", type=int, help="cut year (default: latest available)")
     p.add_argument("--cap", type=float, help=f"percentile cap in (0,1] (default {DEFAULT_CAP} when building from long-csv)")

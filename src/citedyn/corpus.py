@@ -9,9 +9,11 @@ consumes. All aggregation runs in exact integer arithmetic until the
 final division.
 
 Both file formats take an integer cell exactly when it follows int()'s
-grammar and fits in int64. A long-csv file is parsed by numpy's C
-reader in one chunked pass; a file that reader refuses is read again
-with csv.reader and int().
+grammar and fits in int64. `_reread_rows` states the long-csv row rules
+in the order they are checked; a load reports the earliest faulty row,
+and within it the first rule listed. numpy's C reader parses a long-csv
+file in one chunked pass and `_faulty` only detects a fault; a file that
+reader refuses, or that has a fault, is read again by `_reread_rows`.
 """
 
 from __future__ import annotations
@@ -367,8 +369,7 @@ class _Rows(NamedTuple):
     """A long-csv file's data rows as columns, in file order.
 
     ids and discs are codes into id_table and disc_table, numbered in
-    order of first appearance. `bad` is (row index, fault) for the first
-    row with a cell that is not an int64, which is then the last row.
+    order of first appearance.
     """
 
     ids: np.ndarray
@@ -378,7 +379,6 @@ class _Rows(NamedTuple):
     years: np.ndarray
     ages: np.ndarray
     counts: np.ndarray
-    bad: tuple[int, str] | None = None
 
 
 def _read_rows(fh, columns) -> _Rows:
@@ -416,37 +416,61 @@ def _int64_cell(value, column: str) -> int:
 
 
 def _reread_rows(path, columns, width: int) -> _Rows:
-    """Data rows through csv.reader and int(), for a file numpy refused.
+    """Data rows through csv.reader and int(), checked in file order.
 
-    Reading stops at the first row with a cell int() rejects or int64
-    cannot hold. That row keeps its strings, reads 0 in its integer
-    columns and is named in `bad`.
+    A row is faulty, by the first of these rules it breaks, if: its
+    eprint_id or discipline is empty (after stripping, as they are
+    compared); an integer cell is not an int64 by int()'s grammar; its age
+    or citations_in_year is negative; its submit_year predates
+    MIN_SUBMIT_YEAR or differs from an earlier row of the eprint; it
+    repeats an earlier row's (eprint_id, discipline, age); or its count
+    differs from an earlier row's of the same (eprint_id, age). The
+    earliest faulty row raises DataError.
     """
     i_id, i_disc, *i_ints = columns
+    int_cells = list(zip(i_ints, LONG_CSV_COLUMNS[2:]))
     ids, discs, ints = [], [], []
-    bad = None
+    years: dict[str, int] = {}
+    counts: dict[tuple[str, int], int] = {}
+    seen: set[tuple[str, str, int]] = set()
     with open_csv(path) as fh:
         reader = csv.reader(fh)
         next(reader)
-        for row in reader:
-            # Blank lines are skipped and not numbered; a short row reads its
-            # missing cells as None. Both as csv.DictReader does.
-            if not row:
-                continue
+        # Blank lines are skipped and not numbered; a short row reads its
+        # missing cells as None. Both as csv.DictReader does.
+        for row_no, row in enumerate(filter(None, reader), start=2):
             row += [None] * (width - len(row))
-            ids.append(row[i_id] or "")
-            discs.append(row[i_disc] or "")
+            eid, disc = (row[i_id] or "").strip(), (row[i_disc] or "").strip()
             try:
-                ints.append([_int64_cell(row[i], c) for i, c in zip(i_ints, LONG_CSV_COLUMNS[2:])])
+                if not eid or not disc:
+                    raise ValueError("empty eprint_id or discipline")
+                year, age, count = (_int64_cell(row[i], c) for i, c in int_cells)
+                if age < 0:
+                    raise ValueError(f"negative age {age}")
+                if count < 0:
+                    raise ValueError(f"negative citations_in_year {count}")
+                if year < MIN_SUBMIT_YEAR:
+                    raise ValueError(f"submit_year {year} predates {MIN_SUBMIT_YEAR}")
+                if years.setdefault(eid, year) != year:
+                    raise ValueError(f"eprint {eid!r} submit_year {year} conflicts "
+                                     f"with earlier value {years[eid]}")
+                if (eid, disc, age) in seen:
+                    raise ValueError(f"duplicate (eprint_id, discipline, age) = "
+                                     f"({eid!r}, {disc!r}, {age})")
+                seen.add((eid, disc, age))
+                if counts.setdefault((eid, age), count) != count:
+                    raise ValueError(f"eprint {eid!r} age {age} count {count} conflicts "
+                                     f"with {counts[eid, age]} from another discipline row")
             except ValueError as exc:
-                ints.append([0, 0, 0])
-                bad = (len(ints) - 1, str(exc))
-                break
+                raise DataError(f"row {row_no}: {exc}") from None
+            ids.append(eid)
+            discs.append(disc)
+            ints.append((year, age, count))
     id_codes, disc_codes = _Codes(), _Codes()
     id_codes.add(ids)
     disc_codes.add(discs)
-    years, ages, counts = np.array(ints, dtype=np.int64).reshape(-1, 3).T.copy()
-    return _Rows(*id_codes.result(), *disc_codes.result(), years, ages, counts, bad)
+    return _Rows(*id_codes.result(), *disc_codes.result(),
+                 *np.array(ints, dtype=np.int64).reshape(-1, 3).T)
 
 
 def _first(mask: np.ndarray) -> int | None:
@@ -468,56 +492,33 @@ def _memberships(eprints, disciplines, n_disciplines: int) -> dict[str, np.ndarr
     return {"member_eprints": pairs // width, "member_disciplines": pairs % width}
 
 
-def _check_rows(rows: _Rows, first_row, order, new_pair) -> None:
-    """Raise DataError for the first row the loader rejects.
+def _order(rows: _Rows) -> np.ndarray:
+    """The rows sorted by (eprint, age, discipline); ties keep file order."""
+    return np.lexsort((rows.discs, rows.ages, rows.ids))
 
-    first_row holds each eprint's first row. order sorts the rows stably
-    by (eprint, age, discipline), and new_pair marks where each
-    (eprint, age) pair starts in that order. Each check is a mask over all
-    rows. Conflicts are judged against the first row of the eprint or of
-    the (eprint, age) pair: a sequential pass holds exactly that when it
-    reaches a row, since it stops at its first fault. The earliest failing
-    row wins; within it, the earliest check.
+
+def _faulty(rows: _Rows, order: np.ndarray) -> bool:
+    """Whether any row breaks a rule of _reread_rows, which then names it.
+
+    Every integer cell numpy parsed is an int64 by int()'s grammar, so the
+    other rules remain, one mask each. In `order` the rows of an eprint,
+    and of an (eprint, age) pair, are neighbours, so a conflict or a repeat
+    shows between two neighbouring rows.
     """
-    ids, discs, years, ages, counts = rows.ids, rows.discs, rows.years, rows.ages, rows.counts
-    n = len(ids)
-    earlier_year = years[first_row][ids]
-    in_order = np.empty(n, dtype=np.int64)
-    in_order[order] = np.arange(n)
-    repeat = np.zeros(n, dtype=bool)
-    repeat[1:] = ~new_pair[1:] & (discs[order][1:] == discs[order][:-1])
-    duplicate = repeat[in_order]
-    # Within a pair, rows are sorted by discipline code, so its first row in
-    # the file is the lowest row index among them.
-    first_of_pair = np.minimum.reduceat(order, np.flatnonzero(new_pair))
-    known = counts[first_of_pair][np.cumsum(new_pair) - 1][in_order]
-    empty_id = np.array([not s for s in rows.id_table], dtype=bool)
-    empty_disc = np.array([not s for s in rows.disc_table], dtype=bool)
-
-    def eid(r):
-        return rows.id_table[ids[r]]
-
-    checks = [
-        (_first(empty_id[ids] | empty_disc[discs]), lambda r: "empty eprint_id or discipline"),
-        (rows.bad[0] if rows.bad else None, lambda r: rows.bad[1]),
-        (_first(ages < 0), lambda r: f"negative age {ages[r]}"),
-        (_first(counts < 0), lambda r: f"negative citations_in_year {counts[r]}"),
-        (_first(years < MIN_SUBMIT_YEAR),
-         lambda r: f"submit_year {years[r]} predates {MIN_SUBMIT_YEAR}"),
-        (_first(years != earlier_year),
-         lambda r: f"eprint {eid(r)!r} submit_year {years[r]} conflicts "
-                   f"with earlier value {earlier_year[r]}"),
-        (_first(duplicate),
-         lambda r: f"duplicate (eprint_id, discipline, age) = "
-                   f"({eid(r)!r}, {rows.disc_table[discs[r]]!r}, {ages[r]})"),
-        (_first(counts != known),
-         lambda r: f"eprint {eid(r)!r} age {ages[r]} count {counts[r]} conflicts "
-                   f"with {known[r]} from another discipline row"),
-    ]
-    failed = [(r, i) for i, (r, _) in enumerate(checks) if r is not None]
-    if failed:
-        r, i = min(failed)
-        raise DataError(f"row {r + 2}: {checks[i][1](r)}")
+    ids, ages, discs, years, counts = (
+        column[order] for column in (rows.ids, rows.ages, rows.discs, rows.years, rows.counts)
+    )
+    same_eprint = ids[1:] == ids[:-1]
+    same_pair = same_eprint & (ages[1:] == ages[:-1])
+    return bool(
+        "" in rows.id_table or "" in rows.disc_table
+        or (ages < 0).any()
+        or (counts < 0).any()
+        or (years < MIN_SUBMIT_YEAR).any()
+        or (same_eprint & (years[1:] != years[:-1])).any()
+        or (same_pair & (discs[1:] == discs[:-1])).any()
+        or (same_pair & (counts[1:] != counts[:-1])).any()
+    )
 
 
 def _load_long_csv(path, retrieval_year: int | None) -> CitationCorpus:
@@ -531,23 +532,20 @@ def _load_long_csv(path, retrieval_year: int | None) -> CitationCorpus:
             rows = _read_rows(fh, columns)
         except ValueError:
             rows = None
-    if rows is None:
+    order = None if rows is None else _order(rows)
+    if rows is None or _faulty(rows, order):
         rows = _reread_rows(path, columns, len(header))
-
-    ids, ages = rows.ids, rows.ages
-    # Codes count up in order of first appearance, so each eprint's first
-    # row is where the running maximum of the codes rises.
-    first_row = np.flatnonzero(np.diff(np.maximum.accumulate(ids), prepend=-1))
-    order = np.lexsort((rows.discs, ages, ids))  # stable: ties keep file order
-    sorted_ids, sorted_ages = ids[order], ages[order]
-    new_pair = np.ones(len(ids), dtype=bool)
-    new_pair[1:] = (sorted_ids[1:] != sorted_ids[:-1]) | (sorted_ages[1:] != sorted_ages[:-1])
-    _check_rows(rows, first_row, order, new_pair)
-    if not len(ids):
+        order = _order(rows)
+    if not len(rows.ids):
         raise DataError(f"{path}: no data rows")
 
     # Eprints are ordered by id. Per eprint code: the highest age is on the
-    # last of its sorted rows, and n_ages counts its distinct ages.
+    # last of its sorted rows, n_ages counts its distinct ages, and every
+    # row holds its submit_year.
+    ids, ages = rows.ids, rows.ages
+    sorted_ids, sorted_ages = ids[order], ages[order]
+    new_pair = np.ones(len(ids), dtype=bool)
+    new_pair[1:] = (sorted_ids[1:] != sorted_ids[:-1]) | (sorted_ages[1:] != sorted_ages[:-1])
     perm, rank = _sort_table(rows.id_table)
     last_sorted = np.flatnonzero(np.append(sorted_ids[1:] != sorted_ids[:-1], True))
     n_ages = np.bincount(sorted_ids[new_pair], minlength=len(perm))
@@ -557,7 +555,7 @@ def _load_long_csv(path, retrieval_year: int | None) -> CitationCorpus:
     slots = offsets[rank[ids[pair_rows]]] + ages[pair_rows]
     counts = np.zeros(offsets[-1], dtype=np.int64)
     counts[slots] = rows.counts[pair_rows]
-    submit_years = rows.years[first_row][perm]
+    submit_years = rows.years[order[last_sorted]][perm]
 
     sorted_id_table = [rows.id_table[k] for k in perm.tolist()]
     gapped = np.flatnonzero(n_ages[perm] < lengths)

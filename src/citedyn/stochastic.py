@@ -45,7 +45,7 @@ from .errors import (
     InsufficientDataError,
     InvalidInputError,
 )
-from .historyfit import HistoryParams, _lognormal_density, eval_history
+from .historyfit import HistoryParams, _json_number, _lognormal_density, eval_history
 
 __all__ = [
     "VolatilityFit",
@@ -104,12 +104,18 @@ class VolatilityFit:
 
     @classmethod
     def from_dict(cls, data: dict) -> "VolatilityFit":
+        """Parameters from their JSON object; s1 and s2 must be JSON numbers.
+        A diagnostic that is absent or null, as written for a non-finite
+        value, reads as NaN."""
+        def diagnostic(key):
+            return float("nan") if data.get(key) is None else _json_number(data, key)
+
         return cls(
-            s1=float(data["s1"]),
-            s2=float(data["s2"]),
-            se_s1=float(data.get("se_s1", float("nan"))),
-            se_s2=float(data.get("se_s2", float("nan"))),
-            r2_adj=float(data.get("r2_adj", float("nan"))),
+            s1=_json_number(data, "s1"),
+            s2=_json_number(data, "s2"),
+            se_s1=diagnostic("se_s1"),
+            se_s2=diagnostic("se_s2"),
+            r2_adj=diagnostic("r2_adj"),
             n=int(data.get("n", 0)),
         )
 

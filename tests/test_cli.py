@@ -177,7 +177,7 @@ def test_inputs_may_start_with_a_bom(tmp_path, name, fmt):
     assert payloads[1] == payloads[0]
 
 
-def test_unrecognized_header_needs_explicit_format(tmp_path):
+def test_unrecognized_header_is_a_usage_error(tmp_path):
     weird = tmp_path / "data.csv"
     weird.write_text("alpha,beta\n1,2\n")
     assert run_command(["ingest", "--input", str(weird), "--out", str(tmp_path / "r.json")]) == 1
@@ -223,6 +223,17 @@ def test_long_csv_only_commands_take_no_format_flag(tmp_path, corpus_csv, capsys
     assert run_command(common) == 0
     assert run_command([*common, "--format", "long-csv"]) == 1
     assert "unrecognized arguments: --format long-csv" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["ingest", "--input", str(SAMPLES / "corpus.csv")],
+    ["fit-history", "--input", str(SAMPLES / "panel_wide.csv"), "--discipline", "example"],
+], ids=["ingest", "fit-history"])
+def test_corpus_commands_take_no_format_flag(tmp_path, capsys, argv):
+    common = [*argv, "--out", str(tmp_path / "r.json")]
+    assert run_command(common) == 0
+    assert run_command([*common, "--format", "panel-csv"]) == 1
+    assert "unrecognized arguments: --format panel-csv" in capsys.readouterr().err
 
 
 def test_ingest_rejects_a_panel_total_beyond_int64(tmp_path, capsys):
@@ -385,6 +396,13 @@ def test_metrics_rejects_unusable_fit_values(tmp_path, change):
     fit = tmp_path / "fit.json"
     fit.write_text(json.dumps({**ASTRO.to_dict(), **change}))  # NaN and Infinity as JSON tokens
     assert run_command(["metrics", "--fit", str(fit), "--out", str(tmp_path / "r.json")]) == 2
+
+
+def test_fit_json_beyond_the_integer_digit_limit_is_a_data_error(tmp_path, capsys):
+    fit = tmp_path / "fit.json"
+    fit.write_text(json.dumps(ASTRO.to_dict()).replace("2.19", "1" * 5000, 1))
+    assert run_command(["metrics", "--fit", str(fit), "--out", str(tmp_path / "r.json")]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {fit}: not valid JSON (")
 
 
 def test_reckoner_matches_library_and_reference(tmp_path, params_json):
@@ -588,6 +606,36 @@ def test_simulate_accepts_vol_json(tmp_path, params_json):
     env = read_envelope(out)
     assert env["payload"]["vol"]["s1"] == 0.0281
     assert set(env["input_digest"]) == {"params.json", "vol.json"}
+
+
+@pytest.mark.parametrize("vol", [{"s1": "0.0281", "s2": 0.2}, {"s1": 0.0281, "s2": True}],
+                         ids=["str-s1", "bool-s2"])
+def test_vol_json_takes_only_json_numbers(tmp_path, params_json, capsys, vol):
+    path = tmp_path / "vol.json"
+    path.write_text(json.dumps(vol))
+    argv = ["simulate", "--fit", str(params_json), "--vol", str(path), *SIM_ARGS,
+            "--out", str(tmp_path / "r.json")]
+    assert run_command(argv) == 2
+    assert "no usable volatility parameters" in capsys.readouterr().err
+
+
+def test_vol_diagnostics_may_be_null_or_absent(tmp_path, params_json):
+    # verify writes its --s1/--s2 volatility with null diagnostics.
+    report = tmp_path / "verify.json"
+    assert run_command(["verify", "--fit", str(params_json), "--s1", "0.0281", "--s2", "0.2",
+                        *SIM_ARGS, "--out", str(report)]) == 0
+    vol = read_envelope(report)["payload"]["vol"]
+    assert [vol[k] for k in ("se_s1", "se_s2", "r2_adj")] == [None, None, None]
+    bare = tmp_path / "bare.json"
+    bare.write_text(json.dumps({"s1": 0.0281, "s2": 0.2}))
+    payloads = []
+    for source in (report, bare):
+        out = tmp_path / "r.json"
+        assert run_command(["simulate", "--fit", str(params_json), "--vol", str(source),
+                            *SIM_ARGS, "--out", str(out)]) == 0
+        payloads.append(read_envelope(out)["payload"])
+    assert payloads[0]["vol"] == vol
+    assert payloads[1] == payloads[0]
 
 
 @pytest.mark.parametrize("vol", [{"s1": math.inf, "s2": 0.2}, {"s1": 0.0281, "s2": math.inf}],

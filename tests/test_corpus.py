@@ -485,19 +485,31 @@ def test_long_csv_round_trips_at_any_chunk_size(tmp_path_factory, original, chun
 
 
 def test_long_csv_is_read_over_one_handle(tmp_path, monkeypatch):
-    # A file numpy's reader takes is opened once; one it refuses once more.
+    # A valid file numpy's reader takes is opened once and sorted once; one
+    # it refuses, or one with a faulty row, is opened once more.
     opened, open_csv = [], corpus_mod.open_csv
+    sorts, lexsort = [], corpus_mod.np.lexsort
 
     def open_counted(path):
         opened.append(path)
         return open_csv(path)
 
+    def lexsort_counted(keys):
+        sorts.append(opened[-1])
+        return lexsort(keys)
+
     monkeypatch.setattr(corpus_mod, "open_csv", open_counted)
-    good, odd = tmp_path / "good.csv", tmp_path / "odd.csv"
+    monkeypatch.setattr(corpus_mod.np, "lexsort", lexsort_counted)
+    good, odd, dup = tmp_path / "good.csv", tmp_path / "odd.csv", tmp_path / "dup.csv"
     good.write_text(f"{HEADER}\na,x,2015,0,1\n", encoding="utf-8")
     odd.write_text(f"{HEADER}\na,x,2_015,0,1\n", encoding="utf-8")
+    dup.write_text(f"{HEADER}\na,x,2015,0,1\na,x,2015,0,1\n", encoding="utf-8")
     assert load_corpus(good, "long-csv") == load_corpus(odd, "long-csv")
-    assert opened == [good, odd, odd]
+    with pytest.raises(DataError) as err:
+        load_corpus(dup, "long-csv")
+    assert str(err.value) == "row 3: duplicate (eprint_id, discipline, age) = ('a', 'x', 0)"
+    assert opened == [good, odd, odd, dup, dup]
+    assert sorts == [good, odd, dup]
 
 
 def test_unknown_format_rejected(tmp_path):
