@@ -64,9 +64,9 @@ _SQRT_2PI = math.sqrt(2.0 * math.pi)
 
 
 def gamma_index(c: float, T: float, params: HistoryParams) -> float:
-    """ln(c / H(T)) for a count c >= 1 at age T >= 1."""
-    if c < 1:
-        raise DomainError(f"citation count must be >= 1, got {c}")
+    """ln(c / H(T)) for a finite count c >= 1 at a finite age T >= 1."""
+    if not (math.isfinite(c) and c >= 1):
+        raise DomainError(f"citation count must be finite and >= 1, got {c}")
     split = cumulative_split(params, T)
     return math.log(c / split.H)
 
@@ -130,6 +130,10 @@ def score_eprints(
     scores are computed within the scorable set, the same population the
     gamma values describe.
     """
+    if dataset_year > corpus.retrieval_year:
+        raise DomainError(
+            f"dataset_year {dataset_year} exceeds retrieval_year {corpus.retrieval_year}"
+        )
     members = corpus.members(discipline)
     if not members.size:
         raise DataError(f"no eprints in discipline {discipline!r}")

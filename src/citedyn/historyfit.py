@@ -89,7 +89,7 @@ LAMBDA_CAP = 10.0     # reported as effectively infinite above this
 N_PARAMS = 5
 
 # The box a panel can identify; fit_history abandons a start that leaves
-# it (see _box_callback).
+# it (see _Search).
 MU_FLOOR = -3.0
 LN_A_MARGIN = 6.0
 STATUS_ABANDONED = -2   # least_squares status when the callback stops a start
@@ -97,10 +97,8 @@ MAX_NFEV = 1000         # residual evaluations allowed per start
 
 # fit_history stops a start whose iterate comes this close (max-abs over
 # ln A, mu, ln sigma, ln B; lambda's cost is flat beyond saturation) to an
-# accepted iterate of an earlier start: it joins a start that succeeded or
-# joined, and is abandoned with one that was abandoned (see _box_callback).
+# accepted iterate of an earlier start (see _Search).
 JOIN_TOL = 1e-2
-STATUS_JOINED = -3      # least_squares status when a start joins a known path
 
 
 # --- model ------------------------------------------------------------------
@@ -226,15 +224,14 @@ class FitOptions:
 class FitDiagnostics:
     """What the multi-start search did. No wall time, so it is deterministic.
 
-    starts: optimizer starts tried. abandoned: starts stopped because an
-    accepted iterate left the identifiable box (least_squares status -2).
+    starts: optimizer starts tried. abandoned, joined: starts the search
+    stopped (least_squares status -2; see _Search), abandoned when a start
+    left the identifiable box or reached an abandoned start's path, joined
+    when it reached the path of a start that succeeded or joined.
     failed: (start index, message) for each start whose optimizer raised.
     best_start, best_status: grid index and least_squares status of the
     winning start. nfev: residual evaluations over all starts that ran,
-    joined ones included. joined: starts stopped because an accepted
-    iterate came within JOIN_TOL of an accepted iterate of an earlier start
-    that succeeded or joined (status -3). A start whose iterate comes
-    within JOIN_TOL of one of an abandoned start is abandoned too (-2).
+    stopped ones included.
     """
 
     starts: int
@@ -321,102 +318,84 @@ def _seed_scales(t: np.ndarray, u: np.ndarray, mu0: float, sig0: float) -> tuple
     return a0, b0
 
 
-class _Joined(Exception):
-    """Raised by the fit callback to stop a start that joined a known path.
-
-    scipy reports every callback stop as status -2, the status of a start
-    that was abandoned; least_squares below turns this one into a result
-    with STATUS_JOINED instead.
-    """
-
-    def __init__(self, x: np.ndarray, cost: float, nfev: int):
-        super().__init__()
-        self.x, self.cost, self.nfev = x, cost, nfev
-
-
-class _Paths:
-    """Accepted iterates (ln A, mu, ln sigma, ln B) of the starts of one fit.
-
-    won is a (k, 4) array of the iterates of the starts that succeeded,
-    final x included, or joined; lost holds those of the starts that were
-    abandoned. current collects the running start's iterates, and end()
-    files them under its status, so each array grows once per finished
-    start. A start that failed or ran out of evaluations adds nothing.
-    """
-
-    def __init__(self):
-        self.won = np.empty((0, 4))
-        self.lost = np.empty((0, 4))
-        self.current = []
-
-    def end(self, res=None) -> None:
-        """File the running start's iterates under res.status (None: it failed)."""
-        path, self.current = self.current, []
-        if res is None or res.status == 0:
-            return
-        if res.status == STATUS_ABANDONED:
-            self.lost = np.vstack([self.lost, *path])
-        else:
-            if res.status > 0:
-                path.append(res.x[:4])
-            self.won = np.vstack([self.won, *path])
-
-
-def _reaches(x: np.ndarray, path: np.ndarray) -> bool:
-    """Whether x lies within JOIN_TOL, max-abs over its first four
-    coordinates, of some row of path."""
-    return path.size > 0 and bool((np.abs(path - x[:4]) < JOIN_TOL).all(axis=1).any())
-
-
-def _box_callback(t: np.ndarray, u: np.ndarray, paths: _Paths):
-    """least_squares callback that abandons a start leaving the identifiable box
-    and stops one that reaches the path of an earlier start.
+class _Search:
+    """The stopping rule of one fit's multi-start search.
 
     The panel sees the lognormal f(t + 1; mu, sigma) only at shifted ages
     t + 1 in [1, T_max + 1], so it cannot pin the parameters down along
     mu -> -inf with A -> inf, where the component imitates a spike at age
     0 (the lognormal aging identifiability problem of Wang, Song &
-    Barabasi, Science 342:127, 2013). The box cuts that direction off:
+    Barabasi, Science 342:127, 2013). A box cuts that direction off:
 
     - mu < MU_FLOOR: the component's median exp(mu) lies more than 3 log
       units before the first observed shifted age, so the panel holds only
       its right tail, whose height A can trade against mu without limit.
-    - ln A > ln max(u) + ln(T_max + 1) + LN_A_MARGIN: A is the component's
-      total mass, while the whole panel carries at most max(u) (T_max + 1).
-      A curve that stays near the data then has more than 1 - e^-6, over
-      99.7%, of that mass outside the observed ages.
+    - ln A > ln_a_max = ln max(u) + ln(T_max + 1) + LN_A_MARGIN: A is the
+      component's total mass, while the whole panel carries at most
+      max(u) (T_max + 1). A curve that stays near the data then has more
+      than 1 - e^-6, over 99.7%, of that mass outside the observed ages.
 
-    Inside the box, the iterate is compared, in max-abs distance over
-    (ln A, mu, ln sigma, ln B), with the accepted iterates of the earlier
-    starts that paths holds. Within JOIN_TOL of one in paths.won, the
-    path of a start that succeeded or joined, the start joins: from there
-    it would only walk on to an optimum already known. The callback raises
-    _Joined, which least_squares turns into status STATUS_JOINED. Within
-    JOIN_TOL of one in paths.lost, the path of an abandoned start, it is
-    abandoned (status -2), as that start was. This is the clustering idea
-    of multi-level single linkage (Rinnooy Kan & Timmer, Math. Programming
-    39:27, 1987), applied to whole paths rather than to optima alone.
-    Every iterate the callback sees goes to paths.current.
+    won and lost are (k, 4) arrays of the accepted iterates
+    (ln A, mu, ln sigma, ln B) of earlier starts: won those of the starts
+    that succeeded, final x included, or joined; lost those of the starts
+    that were abandoned. A start that failed or ran out of evaluations
+    adds nothing. callback, the least_squares callback, adds each iterate
+    to current, then stops the start by raising StopIteration, which
+    least_squares reports as status STATUS_ABANDONED, in the first of
+    these cases:
 
-    least_squares calls this after every iteration with the current
-    iterate, which moves only when a step is accepted. Until it stops, a
-    start that stays inside the box therefore follows exactly the path it
-    would without the callback.
+    - the iterate left the box: the start is abandoned;
+    - it lies within JOIN_TOL, max-abs, of a row of won: the start joins,
+      since from there it would only walk on to an optimum already known,
+      and joined is set;
+    - it lies within JOIN_TOL of a row of lost: the start is abandoned,
+      as that start was.
+
+    This is the clustering idea of multi-level single linkage (Rinnooy Kan
+    & Timmer, Math. Programming 39:27, 1987), applied to whole paths
+    rather than to optima alone. least_squares calls the callback after
+    every iteration with the current iterate, which moves only when a step
+    is accepted, so until it stops a start follows exactly the path it
+    would without it: the box and the join rule are stopping rules, not
+    bounds.
     """
-    ln_a_max = math.log(float(np.max(u))) + math.log(float(np.max(t)) + 1.0) + LN_A_MARGIN
 
-    def callback(intermediate_result):
+    def __init__(self, t: np.ndarray, u: np.ndarray):
+        self.ln_a_max = (math.log(float(np.max(u))) + math.log(float(np.max(t)) + 1.0)
+                         + LN_A_MARGIN)
+        self.won = np.empty((0, 4))
+        self.lost = np.empty((0, 4))
+        self.current = []
+        self.joined = False
+
+    @staticmethod
+    def _reaches(x: np.ndarray, path: np.ndarray) -> bool:
+        return path.size > 0 and bool((np.abs(path - x[:4]) < JOIN_TOL).all(axis=1).any())
+
+    def callback(self, intermediate_result):
         x = intermediate_result.x
-        paths.current.append(x[:4].copy())
-        if x[1] < MU_FLOOR or x[0] > ln_a_max:
+        self.current.append(x[:4].copy())
+        if x[1] < MU_FLOOR or x[0] > self.ln_a_max:
             raise StopIteration
-        if _reaches(x, paths.won):
-            raise _Joined(x.copy(), float(intermediate_result.cost),
-                          int(intermediate_result.nfev))
-        if _reaches(x, paths.lost):
+        if self._reaches(x, self.won):
+            self.joined = True
+            raise StopIteration
+        if self._reaches(x, self.lost):
             raise StopIteration
 
-    return callback
+    def end(self, res=None) -> bool:
+        """File the running start's iterates under its result (None: it
+        failed), and return whether it joined."""
+        path, self.current = self.current, []
+        joined, self.joined = self.joined, False
+        status = 0 if res is None else res.status
+        if status > 0:
+            path.append(res.x[:4])
+        if status > 0 or joined:
+            self.won = np.vstack([self.won, *path])
+        elif status == STATUS_ABANDONED:
+            self.lost = np.vstack([self.lost, *path])
+        return joined
 
 
 def least_squares(*args, **kwargs):
@@ -424,19 +403,11 @@ def least_squares(*args, **kwargs):
 
     scipy.optimize adds about 0.7 s to the start of every process that
     imports it. fit_history looks this name up at call time, so tests and
-    the benchmark's tracer can wrap it. A start its callback stops with
-    _Joined returns a result with status STATUS_JOINED and the iterate,
-    cost and nfev at the stop.
+    the benchmark's tracer can wrap it.
     """
-    from scipy.optimize import OptimizeResult, least_squares
+    from scipy.optimize import least_squares
 
-    try:
-        return least_squares(*args, **kwargs)
-    except _Joined as stop:
-        return OptimizeResult(
-            x=stop.x, cost=stop.cost, nfev=stop.nfev, status=STATUS_JOINED, success=False,
-            message="Stopped because an iterate joined an optimum an earlier start found",
-        )
+    return least_squares(*args, **kwargs)
 
 
 def fit_history(panel: AgePanel, options: FitOptions | None = None) -> HistoryFit:
@@ -445,21 +416,11 @@ def fit_history(panel: AgePanel, options: FitOptions | None = None) -> HistoryFi
     Runs a multi-start local optimization (trust-region least squares with
     an analytic Jacobian) over a fixed grid of (mu, sigma, lambda) starts,
     positivity enforced by log-reparameterization and lambda bounded at
-    LAMBDA_BOUND. A start is abandoned (status -2) as soon as an accepted
-    iterate leaves the box the panel can identify: mu >= MU_FLOOR and
-    ln A <= ln max(u) + ln(T_max + 1) + LN_A_MARGIN, with T_max the
-    panel's largest age (see _box_callback). The box is a stopping rule,
-    not a bound, so it does not change the path of a start that stays
-    inside it. The accepted iterates of every start are kept, in
-    (ln A, mu, ln sigma, ln B): those of starts that succeeded (the final
-    x included) or joined apart from those of starts that were abandoned.
-    A later start stops as soon as an accepted iterate lies within
-    JOIN_TOL of a kept one. It joins (status -3) the path of a start that
-    succeeded or joined, which leads to a known optimum, and is abandoned
-    (status -2) on the path of an abandoned start. The best surviving
-    start by residual cost among those not joined wins; converged is False
-    when it did not satisfy the optimizer's tolerances. The result's
-    diagnostics record what every start did.
+    LAMBDA_BOUND. A start is stopped early when it leaves the box the panel
+    can identify or reaches the path of an earlier start (see _Search).
+    The best start by residual cost among those not stopped wins;
+    converged is False when it did not satisfy the optimizer's tolerances.
+    The result's diagnostics record what every start did.
 
     Raises:
         InsufficientDataError: fewer than 6 usable ages.
@@ -489,8 +450,7 @@ def fit_history(panel: AgePanel, options: FitOptions | None = None) -> HistoryFi
 
     lower = np.full(N_PARAMS, -np.inf)
     upper = np.array([np.inf, np.inf, np.inf, np.inf, math.log(LAMBDA_BOUND)])
-    paths = _Paths()
-    callback = _box_callback(t, u, paths)
+    search = _Search(t, u)
 
     grid = list(itertools.product(MU_STARTS, SIGMA_STARTS, LAMBDA_STARTS))
     best = None
@@ -509,21 +469,18 @@ def fit_history(panel: AgePanel, options: FitOptions | None = None) -> HistoryFi
                 method="trf",
                 bounds=(lower, upper),
                 max_nfev=MAX_NFEV,
-                callback=callback,
+                callback=search.callback,
             )
         except (ValueError, np.linalg.LinAlgError) as exc:
-            paths.end()
+            search.end()
             failed.append((i, f"{type(exc).__name__}: {exc}"))
             continue
-        paths.end(res)
         nfev += res.nfev
-        if res.status == STATUS_ABANDONED:
-            abandoned += 1
-            continue
-        if res.status == STATUS_JOINED:
+        if search.end(res):
             joined += 1
-            continue
-        if res.cost < best_cost:
+        elif res.status == STATUS_ABANDONED:
+            abandoned += 1
+        elif res.cost < best_cost:
             best, best_cost, best_start = res, res.cost, i
     if best is None:
         detail = f"; first failure: start {failed[0][0]}, {failed[0][1]}" if failed else ""
@@ -665,14 +622,14 @@ class CumulativeSplit:
 
 
 def cumulative_split(params: HistoryParams, T: float) -> CumulativeSplit:
-    """Closed-form F, G, H and the jump-decay share rho at horizon T >= 1.
+    """Closed-form F, G, H and the jump-decay share rho at a finite horizon T >= 1.
 
     The baseline integral G is taken over [0, T-1]: baseline attention at
     age t has only accumulated for t years by horizon T = t + 1. With
     lambda_capped it is exactly B*(T-1).
     """
-    if T < 1.0:
-        raise DomainError(f"horizon must be >= 1, got {T}")
+    if not (math.isfinite(T) and T >= 1.0):
+        raise DomainError(f"horizon must be finite and >= 1, got {T}")
     F = params.A * float(normal_cdf((math.log(T) - params.mu) / params.sigma))
     if params.lambda_capped:
         G = params.B * (T - 1.0)

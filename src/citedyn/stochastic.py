@@ -106,9 +106,18 @@ class VolatilityFit:
     def from_dict(cls, data: dict) -> "VolatilityFit":
         """Parameters from their JSON object; s1 and s2 must be JSON numbers.
         A diagnostic that is absent or null, as written for a non-finite
-        value, reads as NaN."""
+        value, reads as NaN; an absent or null n reads as 0, and a present
+        n must be a non-negative JSON integer."""
         def diagnostic(key):
             return float("nan") if data.get(key) is None else _json_number(data, key)
+
+        def count(key):
+            value = data.get(key)
+            if value is None:
+                return 0
+            if isinstance(value, bool) or not isinstance(value, int) or value < 0:
+                raise DomainError(f"{key} must be a non-negative integer, got {value!r}")
+            return value
 
         return cls(
             s1=_json_number(data, "s1"),
@@ -116,7 +125,7 @@ class VolatilityFit:
             se_s1=diagnostic("se_s1"),
             se_s2=diagnostic("se_s2"),
             r2_adj=diagnostic("r2_adj"),
-            n=int(data.get("n", 0)),
+            n=count("n"),
         )
 
 
@@ -233,6 +242,8 @@ class SdeConfig:
     def __post_init__(self):
         if not 0 < self.dt <= 1:
             raise DomainError(f"dt must lie in (0, 1], got {self.dt}")
+        if not math.isfinite(self.horizon):
+            raise DomainError(f"horizon must be finite, got {self.horizon}")
         if self.horizon < self.dt:
             raise DomainError(
                 f"horizon must be at least one step, got {self.horizon} < dt={self.dt}"

@@ -398,6 +398,15 @@ def test_metrics_rejects_unusable_fit_values(tmp_path, change):
     assert run_command(["metrics", "--fit", str(fit), "--out", str(tmp_path / "r.json")]) == 2
 
 
+@pytest.mark.parametrize("horizon", ["nan", "inf"])
+def test_metrics_rejects_a_non_finite_horizon(tmp_path, params_json, capsys, horizon):
+    out = tmp_path / "r.json"
+    argv = ["metrics", "--fit", str(params_json), "--horizons", f"2,{horizon}", "--out", str(out)]
+    assert run_command(argv) == 2
+    assert f"horizon must be finite and >= 1, got {horizon}" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_fit_json_beyond_the_integer_digit_limit_is_a_data_error(tmp_path, capsys):
     fit = tmp_path / "fit.json"
     fit.write_text(json.dumps(ASTRO.to_dict()).replace("2.19", "1" * 5000, 1))
@@ -441,6 +450,21 @@ def test_reckoner_matches_library_and_reference(tmp_path, params_json):
         rows = list(csv.reader(fh))
     assert rows[0] == ["discipline", "c"] + [f"T={t}" for t in range(2, 11)]
     assert len(rows) == 5
+
+
+@pytest.mark.parametrize("citations, ages, message", [
+    ("5,nan", "2:4", "citation count must be finite and >= 1, got nan"),
+    ("5,inf", "2:4", "citation count must be finite and >= 1, got inf"),
+    ("5", "2,inf", "horizon must be finite and >= 1, got inf"),
+], ids=["nan-citations", "inf-citations", "inf-ages"])
+def test_reckoner_rejects_non_finite_levels(tmp_path, params_json, capsys, citations, ages,
+                                            message):
+    out = tmp_path / "r.json"
+    argv = ["reckoner", "--fit", str(params_json), "--citations", citations, "--ages", ages,
+            "--out", str(out)]
+    assert run_command(argv) == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_reckoner_takes_its_label_from_a_fit_envelope(tmp_path, params_json):
@@ -532,6 +556,15 @@ def test_gamma_scores_with_skip_warnings(tmp_path, corpus_csv, params_json):
     assert {r["eprint_id"] for r in rows} == {"a1", "a2", "a3", "a4"}
 
 
+def test_gamma_rejects_a_year_past_the_retrieval_year(tmp_path, corpus_csv, params_json, capsys):
+    out = tmp_path / "r.json"
+    argv = ["gamma", "--input", str(corpus_csv), "--discipline", "astro-ph", "--fit",
+            str(params_json), "--dataset-year", "2100", "--out", str(out)]
+    assert run_command(argv) == 2
+    assert "dataset_year 2100 exceeds retrieval_year 2019" in capsys.readouterr().err
+    assert not out.exists()
+
+
 # --- simulate / verify ------------------------------------------------------------------
 
 
@@ -619,6 +652,16 @@ def test_vol_json_takes_only_json_numbers(tmp_path, params_json, capsys, vol):
     assert "no usable volatility parameters" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("n", ["7", 2.9, True], ids=["str", "float", "bool"])
+def test_vol_json_takes_only_a_json_integer_n(tmp_path, params_json, capsys, n):
+    path = tmp_path / "vol.json"
+    path.write_text(json.dumps({"s1": 0.0281, "s2": 0.2, "n": n}))
+    argv = ["simulate", "--fit", str(params_json), "--vol", str(path), *SIM_ARGS,
+            "--out", str(tmp_path / "r.json")]
+    assert run_command(argv) == 2
+    assert f"n must be a non-negative integer, got {n!r}" in capsys.readouterr().err
+
+
 def test_vol_diagnostics_may_be_null_or_absent(tmp_path, params_json):
     # verify writes its --s1/--s2 volatility with null diagnostics.
     report = tmp_path / "verify.json"
@@ -628,14 +671,16 @@ def test_vol_diagnostics_may_be_null_or_absent(tmp_path, params_json):
     assert [vol[k] for k in ("se_s1", "se_s2", "r2_adj")] == [None, None, None]
     bare = tmp_path / "bare.json"
     bare.write_text(json.dumps({"s1": 0.0281, "s2": 0.2}))
+    nulls = tmp_path / "nulls.json"
+    nulls.write_text(json.dumps({"s1": 0.0281, "s2": 0.2, "se_s1": None, "n": None}))
     payloads = []
-    for source in (report, bare):
+    for source in (report, bare, nulls):
         out = tmp_path / "r.json"
         assert run_command(["simulate", "--fit", str(params_json), "--vol", str(source),
                             *SIM_ARGS, "--out", str(out)]) == 0
         payloads.append(read_envelope(out)["payload"])
     assert payloads[0]["vol"] == vol
-    assert payloads[1] == payloads[0]
+    assert payloads[1] == payloads[2] == payloads[0]
 
 
 @pytest.mark.parametrize("vol", [{"s1": math.inf, "s2": 0.2}, {"s1": 0.0281, "s2": math.inf}],
@@ -723,6 +768,8 @@ def test_sde_flag_out_of_range_is_a_usage_error(tmp_path, params_json, capsys, c
         (["--paths", "0"], "n_paths must be >= 1, got 0"),
         (["--dt", "2"], "dt must lie in (0, 1], got 2.0"),
         (["--dt", "0.01", "--horizon", "0.015"], "horizon 0.015 is not a whole number of dt=0.01 steps"),
+        (["--horizon", "nan"], "horizon must be finite, got nan"),
+        (["--horizon", "inf"], "horizon must be finite, got inf"),
     ],
 )
 @pytest.mark.parametrize("command", ["simulate", "verify"])

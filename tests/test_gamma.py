@@ -64,10 +64,9 @@ def test_gamma_zero_when_on_expectation():
 
 
 def test_gamma_domain_errors():
-    with pytest.raises(DomainError):
-        gamma_index(0.5, 5, ASTRO)
-    with pytest.raises(DomainError):
-        gamma_index(5, 0.5, ASTRO)
+    for c, T in ((0.5, 5), (math.nan, 5), (math.inf, 5), (5, 0.5), (5, math.inf)):
+        with pytest.raises(DomainError):
+            gamma_index(c, T, ASTRO)
 
 
 def test_gamma_monotone_in_both_arguments():

@@ -166,8 +166,9 @@ def test_split_at_unit_age_is_all_bump():
 
 
 def test_split_rejects_early_horizon():
-    with pytest.raises(DomainError):
-        cumulative_split(ASTRO, 0.5)
+    for T in (0.5, math.nan, math.inf):
+        with pytest.raises(DomainError):
+            cumulative_split(ASTRO, T)
 
 
 @given(
@@ -273,6 +274,19 @@ def _record_statuses(monkeypatch):
     return statuses
 
 
+def _record_joins(monkeypatch):
+    """Collect, for every start fit_history runs, whether its search joined it."""
+    joins = []
+    end = historyfit._Search.end
+
+    def recording(search, res=None):
+        joins.append(search.joined)
+        return end(search, res)
+
+    monkeypatch.setattr(historyfit._Search, "end", recording)
+    return joins
+
+
 def test_diagnostics_of_a_clean_fit(monkeypatch):
     statuses = _record_statuses(monkeypatch)
     d = fit_history(make_panel(ASTRO)).diagnostics
@@ -290,7 +304,7 @@ def test_flat_panel_abandons_runaway_starts(monkeypatch):
     fit = fit_history(flat_panel())
     d = fit.diagnostics
     assert d.abandoned > 0
-    assert d.abandoned == statuses.count(historyfit.STATUS_ABANDONED)
+    assert d.abandoned + d.joined == statuses.count(historyfit.STATUS_ABANDONED)
     assert 0 not in statuses  # no start ran into max_nfev
     assert d.nfev < 5000
     assert fit.converged
@@ -301,14 +315,16 @@ def test_flat_panel_abandons_runaway_starts(monkeypatch):
 @pytest.mark.parametrize("panel", [make_panel(ASTRO), flat_panel()], ids=["astro", "flat"])
 def test_diagnostics_account_for_every_start(monkeypatch, panel):
     statuses = _record_statuses(monkeypatch)
+    joins = _record_joins(monkeypatch)
     d = fit_history(panel).diagnostics
-    assert d.starts == len(statuses)
-    assert d.joined == statuses.count(historyfit.STATUS_JOINED) > 0
-    assert d.abandoned == statuses.count(historyfit.STATUS_ABANDONED)
+    assert d.starts == len(statuses) == len(joins)
+    assert d.joined == sum(joins) > 0
+    assert all(s == historyfit.STATUS_ABANDONED for s, joined in zip(statuses, joins) if joined)
+    assert d.joined + d.abandoned == statuses.count(historyfit.STATUS_ABANDONED)
     assert statuses[d.best_start] == d.best_status > 0
     # nothing is kept before the first start that succeeds, so none joins
     first_success = next(i for i, status in enumerate(statuses) if status > 0)
-    assert historyfit.STATUS_JOINED not in statuses[:first_success]
+    assert not any(joins[:first_success])
     assert d.to_dict()["joined"] == d.joined
 
 
@@ -324,62 +340,53 @@ def test_joins_never_change_the_winner(monkeypatch, panel):
     assert fit.diagnostics.nfev < alone.diagnostics.nfev
 
 
-def _first_start(paths):
+def _first_start(store=None, row=None):
     """fit_history's first start on the noiseless astro-ph panel, run with
-    the fit callback over paths."""
+    the callback of a fresh _Search whose array store holds the one row.
+    Returns the result and the search."""
     panel = make_panel(ASTRO)
     t = np.array([e.t for e in panel.entries], dtype=float)
     u = np.array([e.u for e in panel.entries], dtype=float)
+    search = historyfit._Search(t, u)
+    if store is not None:
+        setattr(search, store, row[None, :])
     mu0, sig0, lam0 = (historyfit.MU_STARTS[0], historyfit.SIGMA_STARTS[0],
                        historyfit.LAMBDA_STARTS[0])
     a0, b0 = historyfit._seed_scales(t, u, mu0, sig0)
     x0 = np.array([math.log(a0), mu0, math.log(sig0), math.log(b0), math.log(lam0)])
-    return historyfit.least_squares(
+    res = historyfit.least_squares(
         lambda theta: historyfit._model_theta(theta, t) - u, x0,
         jac=lambda theta: historyfit._jac_theta(theta, t), method="trf",
-        callback=historyfit._box_callback(t, u, paths))
+        callback=search.callback)
+    return res, search
 
 
-@pytest.mark.parametrize("store, status", [("won", historyfit.STATUS_JOINED),
-                                           ("lost", historyfit.STATUS_ABANDONED)],
-                         ids=["won", "lost"])
-def test_callback_stops_a_start_that_reaches_a_stored_path(store, status):
-    paths = historyfit._Paths()
-    free = _first_start(paths)
-    assert free.status > 0
-    path = np.array(paths.current)
+@pytest.mark.parametrize("store", ["won", "lost"])
+def test_callback_stops_a_start_that_reaches_a_stored_path(store):
+    free, search = _first_start()
+    assert free.status > 0 and not search.joined
+    path = np.array(search.current)
     assert len(path) >= 3
     # one iterate halfway along, shifted by half the tolerance
     stored = path[len(path) // 2] + 0.5 * historyfit.JOIN_TOL
-    paths = historyfit._Paths()
-    setattr(paths, store, stored[None, :])
-    res = _first_start(paths)
-    assert res.status == status
+    res, search = _first_start(store, stored)
+    assert res.status == historyfit.STATUS_ABANDONED
+    assert search.joined == (store == "won")
     assert res.nfev < free.nfev
     assert np.max(np.abs(res.x[:4] - stored)) < historyfit.JOIN_TOL
     # the start's own iterates wait for fit_history to file them
-    assert paths.current and getattr(paths, store).shape == (1, 4)
+    n = len(search.current)
+    assert n and getattr(search, store).shape == (1, 4)
+    # end files them with the path the start reached and resets the flag
+    assert search.end(res) == (store == "won")
+    assert not search.joined and not search.current
+    assert getattr(search, store).shape == (1 + n, 4)
 
 
 def test_flat_panel_fit_spends_under_two_thousand_evaluations():
     # Starts that reach an abandoned start's path stop there, so the
     # unidentified panel no longer walks each runaway direction again.
     assert fit_history(flat_panel()).diagnostics.nfev < 2000
-
-
-def test_joined_start_is_reported_with_its_own_status():
-    def resid(theta):
-        return theta - 1.0
-
-    def callback(intermediate_result):
-        raise historyfit._Joined(intermediate_result.x.copy(), intermediate_result.cost,
-                                 intermediate_result.nfev)
-
-    res = historyfit.least_squares(resid, np.zeros(2), method="trf", callback=callback)
-    assert res.status == historyfit.STATUS_JOINED
-    assert not res.success
-    assert res.nfev >= 1
-    assert res.cost == pytest.approx(0.5 * np.sum(resid(res.x) ** 2))
 
 
 def test_fitted_parameters_are_python_floats():
