@@ -227,10 +227,15 @@ class CitationCorpus:
     def citation_totals(self, eprints: np.ndarray, through: int | None = None) -> np.ndarray:
         """Citations of each of `eprints` through calendar year `through`.
 
-        through=None gives lifetime totals.
+        through=None gives lifetime totals; a year past the retrieval year
+        raises DomainError, since the data end there.
         """
         start, end = self.offsets[eprints], self.offsets[eprints + 1]
         if through is not None:
+            if through > self.retrieval_year:
+                raise DomainError(
+                    f"dataset_year {through} exceeds retrieval_year {self.retrieval_year}"
+                )
             end = np.clip(start + (through - self.submit_years[eprints] + 1), start, end)
         running = np.concatenate(([0], np.cumsum(self.counts)))
         return running[end] - running[start]

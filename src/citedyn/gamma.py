@@ -128,12 +128,9 @@ def score_eprints(
     and has accumulated at least one citation by then; the rest are
     reported in the returned warning list, not silently dropped. Rank
     scores are computed within the scorable set, the same population the
-    gamma values describe.
+    gamma values describe. A dataset_year past the corpus's retrieval year
+    raises DomainError, as CitationCorpus.citation_totals does.
     """
-    if dataset_year > corpus.retrieval_year:
-        raise DomainError(
-            f"dataset_year {dataset_year} exceeds retrieval_year {corpus.retrieval_year}"
-        )
     members = corpus.members(discipline)
     if not members.size:
         raise DataError(f"no eprints in discipline {discipline!r}")

@@ -58,6 +58,15 @@ def test_citations_through_and_lifetime():
     assert r.lifetime_citations == 6
 
 
+def test_citation_totals_end_at_the_retrieval_year():
+    corp = CitationCorpus(records=(rec("x", 2015, (1, 2, 3, 4, 5)),), retrieval_year=2019)
+    members = corp.members("astro-ph")
+    assert corp.citation_totals(members, through=2016).tolist() == [3]
+    assert corp.citation_totals(members, through=2019).tolist() == [15]
+    with pytest.raises(DomainError, match="dataset_year 2020 exceeds retrieval_year 2019"):
+        corp.citation_totals(members, through=2020)
+
+
 def test_corpus_rejects_duplicates_and_future_submissions():
     with pytest.raises(DataError, match="duplicate"):
         CitationCorpus(records=(rec("x", 2015, (1,)), rec("x", 2016, (2,))), retrieval_year=2019)

@@ -130,6 +130,15 @@ def test_artifact_columns_match_docs(tmp_path, label):
         assert empty == []
 
 
+def test_verify_checks_match_docs(tmp_path):
+    envelope = tmp_path / "r.json"
+    assert run_command(["verify", *SIM, "--out", str(envelope)]) == 0
+    checks = json.loads(envelope.read_text(encoding="utf-8"))["payload"]["checks"]
+    # mean_recovery_t1 and ks_t2 at horizon 2 stand for their templated rows.
+    names = [re.sub(r"_t[0-9.]+$", "_t<t>", c["name"]) for c in checks]
+    assert names == [row.strip("`") for row in section_table("`verify` checks")]
+
+
 def test_corpus_format_columns_match_docs(tmp_path):
     long_path, panel_path = tmp_path / "long.csv", tmp_path / "panel.csv"
     corpus.write_long_csv(corpus.load_corpus(CORPUS, "long-csv"), long_path)

@@ -4,6 +4,7 @@ import csv
 import dataclasses
 import functools
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -21,6 +22,7 @@ from citedyn.historyfit import HistoryParams, eval_history
 from citedyn.stochastic import (
     BLOCK_PATHS,
     STRIP_COLUMNS,
+    TILE_ROWS,
     PathEnsemble,
     SdeConfig,
     TimingSimConfig,
@@ -37,7 +39,7 @@ from citedyn.stochastic import (
     verify_ensemble,
     volatility,
     write_ensemble_csv,
-    _density_mass,
+    _row_integrals,
 )
 
 from _reference import ORACLE, REFERENCE_FITS, params_for
@@ -72,11 +74,16 @@ def test_log_variance_and_beta_star_frozen():
 
 
 def test_beta_star_asymptotics():
-    # early-age plateau sqrt(s2/s1), late-age decay sqrt(s2/t)
-    early = beta_star(VOL.s1 / 100.0, VOL)
-    assert early == pytest.approx(math.sqrt(VOL.s2 / VOL.s1), rel=0.01)
-    late = beta_star(100.0 * VOL.s1, VOL)
-    assert late == pytest.approx(math.sqrt(VOL.s2 / (100.0 * VOL.s1)), rel=0.01)
+    # early-age plateau sqrt(s2/s1), to first order sqrt(s2/s1) (1 - t/(2 s1)),
+    # and late-age decay sqrt(s2/t), at t = s1/100 and t = 100 s1
+    for vol in (VOL, volatility(0.0281, 1e-6), volatility(0.0281, 8.0), volatility(2.5, 0.2)):
+        t_small, t_large = vol.s1 / 100.0, 100.0 * vol.s1
+        early = beta_star(t_small, vol)
+        assert early == pytest.approx(math.sqrt(vol.s2 / vol.s1), rel=0.01)
+        first_order = math.sqrt(vol.s2 / vol.s1) * (1.0 - t_small / (2.0 * vol.s1))
+        assert early == pytest.approx(first_order, rel=1e-4)
+        late = beta_star(t_large, vol)
+        assert late == pytest.approx(math.sqrt(vol.s2 / t_large), rel=0.01)
 
 
 def test_fit_volatility_exact_recovery():
@@ -273,6 +280,31 @@ def test_blocks_partition_the_ensemble(n_paths, method):
         assert np.array_equal(streamed, count_citations(full, mode))
 
 
+# Path counts around the sampler's tile and block edges.
+TILE_EDGE_COUNTS = [1, TILE_ROWS - 1, TILE_ROWS, TILE_ROWS + 1, BLOCK_PATHS + 1]
+
+
+@given(
+    method=st.sampled_from(["exact", "euler"]),
+    n_paths=st.sampled_from(TILE_EDGE_COUNTS),
+    n_steps=st.integers(1, 300),
+    data=st.data(),
+)
+def test_tiles_match_numpy_and_the_full_ensemble(method, n_paths, n_steps, data):
+    config = SdeConfig(dt=0.25, horizon=0.25 * n_steps, n_paths=n_paths, seed=4)
+    full = simulate_ensemble(ASTRO, VOL, config, method=method)
+    # The counts are numpy's trapezoid rule, before and after flooring.
+    totals = np.trapezoid(full.paths, full.grid, axis=1)
+    assert np.array_equal(_row_integrals(full.paths, full.grid), totals)
+    counts = count_citations(full, "integral-floor")
+    assert np.array_equal(counts, np.floor(totals).astype(np.int64))
+    # A range that may start inside a tile gives the full ensemble's rows.
+    a = data.draw(st.integers(0, n_paths - 1), label="a")
+    b = data.draw(st.integers(a + 1, n_paths), label="b")
+    part = simulate_ensemble(ASTRO, VOL, config, method=method, paths=range(a, b))
+    assert np.array_equal(part.paths, full.paths[a:b])
+
+
 @functools.cache
 def full_paths(method):
     config = SdeConfig(n_paths=600, **BLOCK_CONFIG)
@@ -311,10 +343,8 @@ def test_verify_ensemble_reads_the_whole_ensemble():
         "mean_recovery_t5",
         "mean_recovery_t10",
         "log_variance_horizon",
-        "density_normalization",
         "ks_t5",
         "lognormal_law_counts",
-        "beta_star_asymptotics",
     ]
     paths = simulate_ensemble(ASTRO, VOL, config).paths
     assert checks["positivity"]["observed"] == paths.min()
@@ -357,15 +387,31 @@ def test_density_normalizes_and_locates_mass():
         closed_form_density(1.0, 0.0, ASTRO, VOL)
 
 
+def _density_mass(t, params, vol):
+    """Integral of closed_form_density over x > 0, taken over y = ln x.
+
+    closed_form_density(e^y) e^y is the N(m, s^2) density of y = ln X(t), a
+    Gaussian bell on which the trapezoid rule over 401 nodes spanning
+    m +- 12 s converges geometrically: the mass is 1 to within a few ulps,
+    and the tails cut off hold about 4e-33. Where x = e^y is subnormal the
+    density itself can exceed the float range (at s2 = 200, for y below
+    about -738), so the nodes start no lower than ln(DBL_MIN); at s2 = 200
+    that cuts about 2e-9 of the mass.
+    """
+    v = log_variance(t, vol)
+    m, s = math.log(eval_history(params, t)) - 0.5 * v, math.sqrt(v)
+    lo = max(m - 12.0 * s, math.log(sys.float_info.min))
+    y = np.linspace(lo, m + 12.0 * s, 401)
+    x = np.exp(y)
+    return float(np.trapezoid(closed_form_density(x, t, params, vol) * x, y))
+
+
 @pytest.mark.parametrize("s2", [1e-6, 8.0])
 def test_density_normalization_at_extreme_volatility(s2):
     # quad over (0, inf) returns 0.0 (with an IntegrationWarning) for the
     # narrow marginal and 0.99392 for the wide one.
-    config = SdeConfig(dt=0.5, horizon=10.0, n_paths=300, seed=0)
-    checks = {c["name"]: c for c in verify_ensemble(ASTRO, volatility(0.0281, s2), config)}
-    check = checks["density_normalization"]
-    assert check["pass"] is True
-    assert abs(check["observed"] - 1.0) <= 1e-12
+    mass = _density_mass(5.0, ASTRO, volatility(0.0281, s2))
+    assert abs(mass - 1.0) <= 1e-12
 
 
 @given(
