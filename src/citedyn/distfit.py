@@ -254,15 +254,18 @@ def fit_power_law_quantile(
     """Fit the power-law model on the upper-quantile region q >= q_min.
 
     Regresses ln(c/theta + 1) on -ln(1 - q); the slope s maps to the
-    exponent a = 1 + 1/s. theta = None fits the plain (unshifted) model.
+    exponent a = 1 + 1/s. theta = None regresses ln(c + 1), the shift of
+    1, and reports theta as None.
 
     Raises:
         InsufficientDataError: fewer than 3 points at or above q_min.
-        DomainError: non-positive theta.
+        DomainError: q_min outside [0, 1), or theta not finite and positive.
         DataError: non-increasing tail (slope <= 0 admits no exponent > 1).
     """
-    if theta is not None and not theta > 0.0:
-        raise DomainError(f"shift parameter must be positive, got {theta}")
+    if theta is not None and not (theta > 0.0 and math.isfinite(theta)):
+        raise DomainError(f"shift parameter must be finite and positive, got {theta}")
+    if not 0.0 <= q_min < 1.0:
+        raise DomainError(f"q_min must lie in [0, 1), got {q_min}")
     keep = series.q >= q_min
     if int(np.count_nonzero(keep)) < 3:
         raise InsufficientDataError(

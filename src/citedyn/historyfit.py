@@ -82,7 +82,10 @@ _SQRT_2PI = math.sqrt(2.0 * math.pi)
 
 MU_STARTS = (0.5, 1.0, 1.5, 2.0)
 SIGMA_STARTS = (0.5, 0.8, 1.2)
-LAMBDA_STARTS = (0.5, 2.0, 20.0)
+# One lambda seed: _seed_scales derives A and B from (mu, sigma) alone, so
+# every lambda seed of a (mu, sigma) starts on one point of the
+# (ln A, mu, ln sigma, ln B) coordinates that _Search compares.
+LAMBDA_STARTS = (0.5,)
 
 LAMBDA_BOUND = 50.0   # optimizer ceiling; tanh is numerically saturated beyond
 LAMBDA_CAP = 10.0     # reported as effectively infinite above this
@@ -414,10 +417,11 @@ def fit_history(panel: AgePanel, options: FitOptions | None = None) -> HistoryFi
     """Least-squares fit of the history model to an age panel.
 
     Runs a multi-start local optimization (trust-region least squares with
-    an analytic Jacobian) over a fixed grid of (mu, sigma, lambda) starts,
-    positivity enforced by log-reparameterization and lambda bounded at
-    LAMBDA_BOUND. A start is stopped early when it leaves the box the panel
-    can identify or reaches the path of an earlier start (see _Search).
+    an analytic Jacobian) from a fixed grid of (mu, sigma) starts that
+    share one lambda seed, positivity enforced by log-reparameterization
+    and lambda bounded at LAMBDA_BOUND. A start is stopped early when it
+    leaves the box the panel can identify or reaches the path of an
+    earlier start (see _Search).
     The best start by residual cost among those not stopped wins;
     converged is False when it did not satisfy the optimizer's tolerances.
     The result's diagnostics record what every start did.

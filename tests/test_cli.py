@@ -290,6 +290,29 @@ def test_fit_dist_rejects_a_year_past_the_retrieval_year(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("flag, value, message", [
+    ("--q-min", "-1", "q_min must lie in [0, 1), got -1.0"),
+    ("--q-min", "nan", "q_min must lie in [0, 1), got nan"),
+    ("--q-min", "1", "q_min must lie in [0, 1), got 1.0"),
+    ("--theta", "inf", "shift parameter must be finite and positive, got inf"),
+    ("--theta", "nan", "shift parameter must be finite and positive, got nan"),
+    ("--theta", "0", "shift parameter must be finite and positive, got 0.0"),
+], ids=["q-min-negative", "q-min-nan", "q-min-one", "theta-inf", "theta-nan", "theta-zero"])
+def test_fit_dist_rejects_a_meaningless_power_law_flag(tmp_path, capsys, flag, value, message):
+    mk = corpus.EprintRecord
+    records = tuple(mk(f"p{i:02d}", frozenset({"astro-ph"}), 2018, (i * i,)) for i in range(1, 41))
+    path = tmp_path / "corpus.csv"
+    corpus.write_long_csv(corpus.CitationCorpus(records=records, retrieval_year=2019), path)
+    out = tmp_path / "r.json"
+    argv = ["fit-dist", "--input", str(path), "--discipline", "astro-ph",
+            "--model", "power-law", "--out", str(out)]
+    assert run_command(argv) == 0  # the corpus itself admits a power-law fit
+    out.unlink()
+    assert run_command([*argv, flag, value]) == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_fit_history_from_panel_csv(tmp_path):
     panel_path = tmp_path / "panel.csv"
     corpus.write_panel_csv([make_panel(ASTRO)], panel_path)
@@ -320,7 +343,9 @@ def test_fit_history_from_panel_csv(tmp_path):
     assert set(diagnostics) == {
         "starts", "abandoned", "joined", "failed", "best_start", "best_status", "nfev"
     }
-    assert diagnostics["starts"] == 36
+    assert diagnostics["starts"] == (
+        len(historyfit.MU_STARTS) * len(historyfit.SIGMA_STARTS) * len(historyfit.LAMBDA_STARTS)
+    )
     assert diagnostics["abandoned"] == 0
     assert diagnostics["failed"] == []
     with open(curve, newline="") as fh:

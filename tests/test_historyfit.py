@@ -36,6 +36,9 @@ from _reference import FLAT_FIT, ORACLE, REFERENCE_METRICS, flat_panel, make_pan
 
 ASTRO = params_for("astro-ph")
 HEP = params_for("hep")  # capped sigmoid
+GRID_SIZE = (
+    len(historyfit.MU_STARTS) * len(historyfit.SIGMA_STARTS) * len(historyfit.LAMBDA_STARTS)
+)
 
 
 # --- curve evaluation ---------------------------------------------------------
@@ -290,11 +293,30 @@ def _record_joins(monkeypatch):
 def test_diagnostics_of_a_clean_fit(monkeypatch):
     statuses = _record_statuses(monkeypatch)
     d = fit_history(make_panel(ASTRO)).diagnostics
-    assert d.starts == len(statuses) == 36
+    assert d.starts == len(statuses) == GRID_SIZE
     assert d.abandoned == 0
     assert d.failed == ()
     assert d.best_status == statuses[d.best_start] > 0
     assert d.nfev > 0
+
+
+@pytest.mark.parametrize("panel", [make_panel(ASTRO), flat_panel()], ids=["astro", "flat"])
+def test_no_start_begins_on_another_starts_seed(monkeypatch, panel):
+    # A join compares (ln A, mu, ln sigma, ln B) alone, so two seeds that
+    # agree there start one search twice.
+    seeds = []
+    least_squares = historyfit.least_squares
+
+    def recording(fun, x0, *args, **kwargs):
+        seeds.append(np.array(x0[:4]))
+        return least_squares(fun, x0, *args, **kwargs)
+
+    monkeypatch.setattr(historyfit, "least_squares", recording)
+    starts = fit_history(panel).diagnostics.starts
+    assert len(seeds) == starts == GRID_SIZE
+    for i in range(len(seeds)):
+        for j in range(i):
+            assert np.max(np.abs(seeds[i] - seeds[j])) > historyfit.JOIN_TOL, (i, j)
 
 
 def test_flat_panel_abandons_runaway_starts(monkeypatch):
@@ -407,12 +429,14 @@ def test_programming_errors_propagate(monkeypatch):
 def test_no_surviving_start_is_a_convergence_error(monkeypatch):
     # least_squares rejects a non-finite initial residual with ValueError
     monkeypatch.setattr(historyfit, "_model_theta", lambda theta, t: np.full(t.size, np.nan))
-    with pytest.raises(ConvergenceError, match="0 of 36 abandoned .* 36 failed.*ValueError"):
+    with pytest.raises(
+        ConvergenceError, match=f"0 of {GRID_SIZE} abandoned .* {GRID_SIZE} failed.*ValueError"
+    ):
         fit_history(make_panel(ASTRO))
     monkeypatch.undo()
     # a box no start can stay in abandons every start
     monkeypatch.setattr(historyfit, "MU_FLOOR", 10.0)
-    with pytest.raises(ConvergenceError, match="36 of 36 abandoned .* 0 failed"):
+    with pytest.raises(ConvergenceError, match=f"{GRID_SIZE} of {GRID_SIZE} abandoned .* 0 failed"):
         fit_history(make_panel(ASTRO))
 
 
