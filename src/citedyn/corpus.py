@@ -19,6 +19,7 @@ reader refuses, or that has a fault, is read again by `_reread_rows`.
 from __future__ import annotations
 
 import csv
+import datetime
 import logging
 import warnings
 from dataclasses import dataclass, field
@@ -52,6 +53,8 @@ PANEL_CSV_COLUMNS = ("discipline", "dataset_year", "age", "n_eprints", "total_ci
 
 # Earliest plausible submission year for the archives this schema models.
 MIN_SUBMIT_YEAR = 1991
+# Latest calendar year a row may date its citations to (submit_year + age).
+MAX_YEAR = datetime.MAXYEAR
 
 # Long-csv rows parsed at a time. Each chunk's strings are turned into
 # integer codes before the next is read, so the loader never holds the
@@ -427,10 +430,11 @@ def _reread_rows(path, columns, width: int) -> _Rows:
     eprint_id or discipline is empty (after stripping, as they are
     compared); an integer cell is not an int64 by int()'s grammar; its age
     or citations_in_year is negative; its submit_year predates
-    MIN_SUBMIT_YEAR or differs from an earlier row of the eprint; it
-    repeats an earlier row's (eprint_id, discipline, age); or its count
-    differs from an earlier row's of the same (eprint_id, age). The
-    earliest faulty row raises DataError.
+    MIN_SUBMIT_YEAR; its submit_year + age passes MAX_YEAR; its
+    submit_year differs from an earlier row of the eprint; it repeats an
+    earlier row's (eprint_id, discipline, age); or its count differs from
+    an earlier row's of the same (eprint_id, age). The earliest faulty row
+    raises DataError.
     """
     i_id, i_disc, *i_ints = columns
     int_cells = list(zip(i_ints, LONG_CSV_COLUMNS[2:]))
@@ -456,6 +460,8 @@ def _reread_rows(path, columns, width: int) -> _Rows:
                     raise ValueError(f"negative citations_in_year {count}")
                 if year < MIN_SUBMIT_YEAR:
                     raise ValueError(f"submit_year {year} predates {MIN_SUBMIT_YEAR}")
+                if age > MAX_YEAR - year:
+                    raise ValueError(f"submit_year {year} + age {age} passes year {MAX_YEAR}")
                 if years.setdefault(eid, year) != year:
                     raise ValueError(f"eprint {eid!r} submit_year {year} conflicts "
                                      f"with earlier value {years[eid]}")
@@ -520,6 +526,8 @@ def _faulty(rows: _Rows, order: np.ndarray) -> bool:
         or (ages < 0).any()
         or (counts < 0).any()
         or (years < MIN_SUBMIT_YEAR).any()
+        # Reached only with every year >= MIN_SUBMIT_YEAR, so it cannot overflow.
+        or (ages > MAX_YEAR - years).any()
         or (same_eprint & (years[1:] != years[:-1])).any()
         or (same_pair & (discs[1:] == discs[:-1])).any()
         or (same_pair & (counts[1:] != counts[:-1])).any()
@@ -573,11 +581,18 @@ def _load_long_csv(path, retrieval_year: int | None) -> CitationCorpus:
 
     disc_perm, disc_rank = _sort_table(rows.disc_table)
 
+    last_years = submit_years + lengths - 1
     if retrieval_year is None:
-        retrieval_year = int((submit_years + lengths - 1).max())
+        retrieval_year = int(last_years.max())
     late = _first(submit_years > retrieval_year)
     if late is not None:
         raise _horizon_error(sorted_id_table[late], submit_years[late], retrieval_year)
+    late = _first(last_years > retrieval_year)
+    if late is not None:
+        raise DataError(
+            f"eprint {sorted_id_table[late]}: age {lengths[late] - 1} dates citations to "
+            f"{last_years[late]}, past retrieval_year {retrieval_year}"
+        )
     return CitationCorpus._from_columns(
         ids=tuple(sorted_id_table),
         submit_years=submit_years,

@@ -39,6 +39,7 @@ __all__ = [
     "normal_quantile",
     "mid_ranks",
     "adjusted_r2",
+    "wald_se",
     "make_quantile_series",
     "fit_lognormal_quantile",
     "fit_power_law_quantile",
@@ -102,6 +103,14 @@ def adjusted_r2(ssr: float, sst: float, n: int, n_params: int) -> float:
     if dof > 0 and sst > 0.0:
         return 1.0 - (ssr / dof) / (sst / (n - 1))
     return 1.0
+
+
+def wald_se(jac: np.ndarray, ssr: float) -> np.ndarray:
+    """Standard errors sqrt(diag(s^2 pinv(J^T J))) of a least-squares fit with
+    Jacobian J (n rows, p columns), s^2 = ssr / (n - p) or 0 if n <= p."""
+    n, n_params = jac.shape
+    s2 = ssr / (n - n_params) if n > n_params else 0.0
+    return np.sqrt(np.clip(np.diag(s2 * np.linalg.pinv(jac.T @ jac)), 0.0, None))
 
 
 @dataclass(frozen=True)

@@ -51,7 +51,7 @@ import numpy as np
 
 from ._csv import write_csv
 from .corpus import AgePanel
-from .distfit import adjusted_r2, normal_cdf
+from .distfit import adjusted_r2, normal_cdf, wald_se
 from .errors import (
     ConvergenceError,
     DegenerateDataError,
@@ -107,11 +107,15 @@ JOIN_TOL = 1e-2
 # --- model ------------------------------------------------------------------
 
 
+def _lognormal_z(t, ln_t, mu: float, sigma: float):
+    """f(t; mu, sigma) for t > 0, given ln t, and z = (ln t - mu) / sigma."""
+    z = (ln_t - mu) / sigma
+    return np.exp(-0.5 * z * z) / (t * sigma * _SQRT_2PI), z
+
+
 def _lognormal_density(t, mu: float, sigma: float):
-    """f(t; mu, sigma) for t > 0."""
-    t = np.asarray(t, dtype=float)
-    z = (np.log(t) - mu) / sigma
-    return np.exp(-0.5 * z * z) / (t * sigma * _SQRT_2PI)
+    """f(t; mu, sigma) for a float or float array t > 0."""
+    return _lognormal_z(t, np.log(t), mu, sigma)[0]
 
 
 def _sech2(x):
@@ -188,17 +192,51 @@ def _json_number(data: dict, key: str) -> float:
         raise DomainError(f"{key} must be finite") from None
 
 
+class _Curve:
+    """u = A f(t + 1) + B tanh(lambda t) at fixed ages t, and its Jacobian in
+    theta = (ln A, mu, ln sigma, ln B, ln lambda). The last theta's terms are
+    kept: least_squares asks for the Jacobian at the iterate it just evaluated."""
+
+    def __init__(self, t: np.ndarray):
+        self.t, self.tp1, self.key = t, t + 1.0, None
+        self.ln_tp1 = np.log(self.tp1)
+
+    def at(self, a, mu, sig, b, lam):
+        """A f(t + 1; mu, sigma), its z = (ln(t + 1) - mu) / sigma, and B tanh(lambda t)."""
+        f, z = _lognormal_z(self.tp1, self.ln_tp1, mu, sig)
+        return a * f, z, b * np.tanh(lam * self.t)
+
+    def terms(self, theta: np.ndarray):
+        if theta.tobytes() != self.key:
+            self.key = theta.tobytes()
+            self.last = self.at(math.exp(theta[0]), theta[1], *map(math.exp, theta[2:]))
+        return self.last
+
+    def u(self, theta) -> np.ndarray:
+        jump, _, base = self.terms(theta)
+        return jump + base
+
+    def jac(self, theta) -> np.ndarray:
+        jump, z, base = self.terms(theta)
+        sig, b, lam = map(math.exp, theta[2:])
+        return np.column_stack([jump, jump * z / sig, jump * (z * z - 1.0), base,
+                                b * lam * self.t * _sech2(lam * self.t)])
+
+    def jac_natural(self, theta: np.ndarray) -> np.ndarray:
+        """The Jacobian in (A, mu, sigma, B, lambda): d/dX = (d/d ln X) / X."""
+        a, sig, b, lam = np.exp(theta[[0, 2, 3, 4]])
+        return self.jac(theta) * np.array([1.0 / a, 1.0, 1.0 / sig, 1.0 / b, 1.0 / lam])
+
+
 def _components(params: HistoryParams, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Jump-decay A f(t + 1) and baseline B tanh(lambda t) parts of u at ages t.
 
     At t = 0 the baseline is exactly 0 regardless of lambda. With
     lambda_capped it is the unit step B 1{t > 0}.
     """
-    jump = params.A * _lognormal_density(t + 1.0, params.mu, params.sigma)
+    jump, _, base = _Curve(t).at(params.A, params.mu, params.sigma, params.B, params.lam)
     if params.lambda_capped:
         base = params.B * (t > 0).astype(float)
-    else:
-        base = params.B * np.tanh(params.lam * t)
     return jump, base
 
 
@@ -278,36 +316,6 @@ class HistoryFit:
     dataset_year: int
     percentile_cap: float | None
     diagnostics: FitDiagnostics
-
-
-def _model_theta(theta: np.ndarray, t: np.ndarray) -> np.ndarray:
-    ln_a, mu, ln_sig, ln_b, ln_lam = theta
-    a, sig, b, lam = math.exp(ln_a), math.exp(ln_sig), math.exp(ln_b), math.exp(ln_lam)
-    return a * _lognormal_density(t + 1.0, mu, sig) + b * np.tanh(lam * t)
-
-
-def _jac_theta(theta: np.ndarray, t: np.ndarray) -> np.ndarray:
-    # Analytic Jacobian in the log-reparameterized coordinates
-    # (ln A, mu, ln sigma, ln B, ln lambda).
-    ln_a, mu, ln_sig, ln_b, ln_lam = theta
-    a, sig, b, lam = math.exp(ln_a), math.exp(ln_sig), math.exp(ln_b), math.exp(ln_lam)
-    tp1 = t + 1.0
-    z = (np.log(tp1) - mu) / sig
-    af = a * _lognormal_density(tp1, mu, sig)
-    cols = np.empty((t.size, N_PARAMS))
-    cols[:, 0] = af                         # d/d lnA
-    cols[:, 1] = af * z / sig               # d/d mu
-    cols[:, 2] = af * (z * z - 1.0)         # d/d ln sigma
-    cols[:, 3] = b * np.tanh(lam * t)       # d/d lnB
-    cols[:, 4] = b * lam * t * _sech2(lam * t)  # d/d ln lambda
-    return cols
-
-
-def _jac_original(theta: np.ndarray, t: np.ndarray) -> np.ndarray:
-    # Jacobian with respect to (A, mu, sigma, B, lambda) themselves, for
-    # covariance estimation: d/dX = (d/d ln X) / X for the log coordinates.
-    a, sig, b, lam = np.exp(theta[[0, 2, 3, 4]])
-    return _jac_theta(theta, t) * np.array([1.0 / a, 1.0, 1.0 / sig, 1.0 / b, 1.0 / lam])
 
 
 def _seed_scales(t: np.ndarray, u: np.ndarray, mu0: float, sig0: float) -> tuple[float, float]:
@@ -445,12 +453,13 @@ def fit_history(panel: AgePanel, options: FitOptions | None = None) -> HistoryFi
         w = np.sqrt(np.array([e.n for e in panel.entries], dtype=float))
     else:
         w = np.ones_like(u)
+    curve = _Curve(t)
 
     def resid(theta):
-        return (_model_theta(theta, t) - u) * w
+        return (curve.u(theta) - u) * w
 
     def jac(theta):
-        return _jac_theta(theta, t) * w[:, None]
+        return curve.jac(theta) * w[:, None]
 
     lower = np.full(N_PARAMS, -np.inf)
     upper = np.array([np.inf, np.inf, np.inf, np.inf, math.log(LAMBDA_BOUND)])
@@ -508,42 +517,26 @@ def fit_history(panel: AgePanel, options: FitOptions | None = None) -> HistoryFi
     # profile is flat in lambda beyond a few units and the optimizer can
     # stall anywhere on it. When moving lambda to the bound costs nothing
     # the data cannot resolve a finite rate; report the capped limit.
-    theta_bound = theta.copy()
-    theta_bound[4] = math.log(LAMBDA_BOUND)
+    theta_bound = np.append(theta[:4], math.log(LAMBDA_BOUND))
     cost_bound = 0.5 * float(np.sum(resid(theta_bound) ** 2))
     if cost_bound <= best_cost * (1.0 + 1e-9):
         theta = theta_bound
 
-    ln_a, mu, ln_sig, ln_b, ln_lam = theta
-    lam = math.exp(ln_lam)
-    params = HistoryParams(
-        A=math.exp(ln_a),
-        mu=float(mu),
-        sigma=math.exp(ln_sig),
-        B=math.exp(ln_b),
-        lam=lam,
-        lambda_capped=lam > LAMBDA_CAP,
-    )
+    a, sig, b, lam = map(math.exp, theta[[0, 2, 3, 4]])
+    params = HistoryParams(A=a, mu=float(theta[1]), sigma=sig, B=b, lam=lam,
+                           lambda_capped=lam > LAMBDA_CAP)
 
-    u_hat = _model_theta(theta, t)
-    resid_plain = u - u_hat
+    resid_plain = u - curve.u(theta)
     ssr = float(np.dot(resid_plain * w, resid_plain * w))
     sst = float(np.dot((u - u.mean()) * w, (u - u.mean()) * w))
-    n = t.size
-    r2_adj = adjusted_r2(ssr, sst, n, N_PARAMS)
-
-    jac_o = _jac_original(theta, t) * w[:, None]
-    s2 = ssr / (n - N_PARAMS) if n > N_PARAMS else 0.0
-    cov = s2 * np.linalg.pinv(jac_o.T @ jac_o)
-    se = np.sqrt(np.clip(np.diag(cov), 0.0, None))
+    r2_adj = adjusted_r2(ssr, sst, t.size, N_PARAMS)
+    jac_natural = curve.jac_natural(theta) * w[:, None]
+    se_a, se_mu, se_sig, se_b, se_lam = wald_se(jac_natural, ssr).tolist()
 
     return HistoryFit(
         params=params,
-        se_A=float(se[0]),
-        se_mu=float(se[1]),
-        se_sigma=float(se[2]),
-        se_B=float(se[3]),
-        se_lambda=None if params.lambda_capped else float(se[4]),
+        se_A=se_a, se_mu=se_mu, se_sigma=se_sig, se_B=se_b,
+        se_lambda=None if params.lambda_capped else se_lam,
         r2_adj=r2_adj,
         residuals=tuple(resid_plain.tolist()),
         converged=bool(best.success),

@@ -221,12 +221,9 @@ def fit_volatility(m_series) -> VolatilityFit:
     d_s1 = math.sqrt(s2) / (2.0 * np.sqrt(L)) * (-t / (s1 * (t + s1)))
     d_s2 = np.sqrt(L) / (2.0 * math.sqrt(s2))
     J = np.column_stack([d_s1, d_s2])
-    r = mhat - m
     n = t.size
-    ssr = float(r @ r)
-    dof = n - 2
-    cov = (ssr / dof if dof > 0 else 0.0) * np.linalg.pinv(J.T @ J)
-    se = np.sqrt(np.clip(np.diag(cov), 0.0, None))
+    ssr = float((mhat - m) @ (mhat - m))
+    se = distfit.wald_se(J, ssr)
     sst = float(((m - m.mean()) ** 2).sum())
     r2_adj = distfit.adjusted_r2(ssr, sst, n, 2)
     return VolatilityFit(

@@ -290,6 +290,30 @@ def test_fit_dist_rejects_a_year_past_the_retrieval_year(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_ingest_refuses_citations_after_an_explicit_retrieval_year(tmp_path, capsys):
+    # astro/0001 was submitted in 2014 and has rows through age 5, in 2019.
+    out = tmp_path / "r.json"
+    argv = ["ingest", "--input", str(SAMPLES / "corpus.csv"), "--retrieval-year", "2016",
+            "--percentiles", "0.5", "--out", str(out)]
+    assert run_command(argv) == 2
+    err = capsys.readouterr().err
+    assert "eprint astro/0001: age 5 dates citations to 2019, past retrieval_year 2016" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("age", ["1000000000000", "30000000"])
+def test_ingest_refuses_an_age_past_year_9999(tmp_path, capsys, age):
+    path = tmp_path / "corpus.csv"
+    path.write_text(f"{','.join(corpus.LONG_CSV_COLUMNS)}\na,x,2015,0,1\na,x,2015,{age},1\n",
+                    encoding="utf-8")
+    out = tmp_path / "r.json"
+    assert run_command(["ingest", "--input", str(path), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert f"row 3: submit_year 2015 + age {age} passes year 9999" in err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("flag, value, message", [
     ("--q-min", "-1", "q_min must lie in [0, 1), got -1.0"),
     ("--q-min", "nan", "q_min must lie in [0, 1), got nan"),

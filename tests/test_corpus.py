@@ -142,6 +142,22 @@ def test_long_csv_derives_retrieval_year(tmp_path):
     assert loaded.retrieval_year == 2018
 
 
+def test_long_csv_refuses_citations_after_the_retrieval_year(tmp_path):
+    path = tmp_path / "corpus.csv"
+    write_rows(path, [["a", "x", 2015, 0, 1], ["a", "x", 2015, 2, 0], ["b", "x", 2016, 0, 4]])
+    assert load_corpus(path, "long-csv", retrieval_year=2017).retrieval_year == 2017
+    with pytest.raises(DataError) as err:
+        load_corpus(path, "long-csv", retrieval_year=2016)
+    assert str(err.value) == "eprint a: age 2 dates citations to 2017, past retrieval_year 2016"
+
+
+def test_long_csv_takes_ages_up_to_year_9999(tmp_path):
+    path = tmp_path / "corpus.csv"
+    write_rows(path, [["a", "x", 2015, 0, 1], ["a", "x", 2015, 7984, 2]])
+    loaded = load_corpus(path, "long-csv", retrieval_year=9999)
+    assert loaded.records[0].yearly_citations[-1] == 2
+
+
 def test_long_csv_missing_column(tmp_path):
     path = tmp_path / "bad.csv"
     write_rows(path, [["a", "x", 2015, 0]], header=["eprint_id", "discipline", "submit_year", "age"])
@@ -219,6 +235,13 @@ LOAD_ERRORS = {
         "row 3: column 'citations_in_year' is not an integer: 'oops'",
     ),
     "checks run in order": (["a,x,1980,-1,-1"], "row 2: negative age -1"),
+    "age past year 9999": (
+        ["a,x,2015,0,1", "a,x,2015,7985,1"], "row 3: submit_year 2015 + age 7985 passes year 9999",
+    ),
+    "int64 age past year 9999": (
+        [f"a,x,2015,{2**63 - 1},1"],
+        f"row 2: submit_year 2015 + age {2**63 - 1} passes year 9999",
+    ),
 }
 
 
@@ -412,6 +435,8 @@ def sequential_load(path):
                 return f"row {row_no}: negative citations_in_year {count}"
             if year < corpus_mod.MIN_SUBMIT_YEAR:
                 return f"row {row_no}: submit_year {year} predates {corpus_mod.MIN_SUBMIT_YEAR}"
+            if year + age > 9999:
+                return f"row {row_no}: submit_year {year} + age {age} passes year 9999"
             first_year, ages_by_disc, counts = by_id.setdefault(eid, [year, {}, {}])
             if first_year != year:
                 return (f"row {row_no}: eprint {eid!r} submit_year {year} conflicts "
@@ -444,7 +469,7 @@ _ROW_CELLS = (
     st.sampled_from(["a", "b"] * 4 + [" a", "c,d", 'e"f', "g\nh", ""]),
     st.sampled_from(["x", "y"] * 4 + [" x", ""]),
     st.sampled_from(["2015"] * 8 + ["2016", "1990", "2_015", "z"]),
-    st.sampled_from(["0", "1", "2"] * 3 + ["3", "-1", " 1 ", ""]),
+    st.sampled_from(["0", "1", "2"] * 3 + ["3", "-1", " 1 ", "", "8000"]),
     st.sampled_from(["0", "1", "2"] * 3 + ["-1", "1.0", "٣"]),
 )
 

@@ -376,9 +376,10 @@ def _first_start(store=None, row=None):
                        historyfit.LAMBDA_STARTS[0])
     a0, b0 = historyfit._seed_scales(t, u, mu0, sig0)
     x0 = np.array([math.log(a0), mu0, math.log(sig0), math.log(b0), math.log(lam0)])
+    curve = historyfit._Curve(t)
     res = historyfit.least_squares(
-        lambda theta: historyfit._model_theta(theta, t) - u, x0,
-        jac=lambda theta: historyfit._jac_theta(theta, t), method="trf",
+        lambda theta: curve.u(theta) - u, x0,
+        jac=curve.jac, method="trf",
         callback=search.callback)
     return res, search
 
@@ -421,14 +422,14 @@ def test_programming_errors_propagate(monkeypatch):
     def broken(theta, t):
         raise TypeError("broken model")
 
-    monkeypatch.setattr(historyfit, "_model_theta", broken)
+    monkeypatch.setattr(historyfit._Curve, "terms", broken)
     with pytest.raises(TypeError, match="broken model"):
         fit_history(make_panel(ASTRO))
 
 
 def test_no_surviving_start_is_a_convergence_error(monkeypatch):
     # least_squares rejects a non-finite initial residual with ValueError
-    monkeypatch.setattr(historyfit, "_model_theta", lambda theta, t: np.full(t.size, np.nan))
+    monkeypatch.setattr(historyfit._Curve, "u", lambda curve, theta: np.full(curve.t.size, np.nan))
     with pytest.raises(
         ConvergenceError, match=f"0 of {GRID_SIZE} abandoned .* {GRID_SIZE} failed.*ValueError"
     ):
@@ -444,7 +445,7 @@ def test_jac_original_matches_finite_differences():
     t = np.arange(21.0)
     p = ASTRO
     theta = np.array([math.log(p.A), p.mu, math.log(p.sigma), math.log(p.B), math.log(p.lam)])
-    jac = historyfit._jac_original(theta, t)
+    jac = historyfit._Curve(t).jac_natural(theta)
     values = [p.A, p.mu, p.sigma, p.B, p.lam]
     for k in range(5):
         h = 1e-6 * abs(values[k])
@@ -453,6 +454,53 @@ def test_jac_original_matches_finite_differences():
         down[k] -= h
         numeric = (eval_history(HistoryParams(*up), t) - eval_history(HistoryParams(*down), t)) / (2 * h)
         assert jac[:, k] == pytest.approx(numeric, rel=1e-6, abs=1e-9), k
+
+
+@given(
+    ln_a=st.floats(min_value=math.log(1e-2), max_value=math.log(1e3)),
+    mu=st.floats(min_value=-1.0, max_value=4.0),
+    ln_sig=st.floats(min_value=math.log(0.2), max_value=math.log(3.0)),
+    ln_b=st.floats(min_value=math.log(1e-2), max_value=math.log(1e3)),
+    ln_lam=st.floats(min_value=math.log(1e-2), max_value=math.log(historyfit.LAMBDA_BOUND)),
+    weighted=st.booleans(),
+)
+def test_jacobians_match_central_differences_property(ln_a, mu, ln_sig, ln_b, ln_lam, weighted):
+    # The fit's weighted Jacobian in theta and the covariance Jacobian in
+    # (A, mu, sigma, B, lambda), against central differences of the curve.
+    t = np.arange(21.0)
+    w = np.sqrt(np.arange(50.0, 50.0 + 37 * 21, 37)) if weighted else np.ones_like(t)
+    curve = historyfit._Curve(t)
+    theta = np.array([ln_a, mu, ln_sig, ln_b, ln_lam])
+    natural = np.exp(theta)
+    natural[1] = mu
+    tol = 1e-7 * float(np.max(curve.u(theta) * w))
+    jac = curve.jac(theta) * w[:, None]
+    jac_natural = curve.jac_natural(theta) * w[:, None]
+    for k in range(5):
+        step = np.zeros(5)
+        step[k] = 1e-6
+        numeric = (curve.u(theta + step) - curve.u(theta - step)) * w / 2e-6
+        assert jac[:, k] == pytest.approx(numeric, rel=1e-5, abs=tol), k
+        step[k] = 1e-6 * max(abs(natural[k]), 1.0) if k == 1 else 1e-6 * natural[k]
+        up, down = curve.at(*(natural + step)), curve.at(*(natural - step))
+        numeric = (up[0] + up[2] - down[0] - down[2]) * w / (2 * step[k])
+        assert jac_natural[:, k] == pytest.approx(numeric, rel=1e-5, abs=tol), k
+
+
+def test_curve_jacobian_reuses_the_terms_of_the_last_theta(monkeypatch):
+    t = np.arange(21.0)
+    p = ASTRO
+    theta = np.array([math.log(p.A), p.mu, math.log(p.sigma), math.log(p.B), math.log(p.lam)])
+    curve = historyfit._Curve(t)
+    assert curve.u(theta) == pytest.approx(eval_history(p, t), rel=1e-12)
+
+    def recompute(*args):
+        raise AssertionError("terms recomputed")
+
+    monkeypatch.setattr(curve, "at", recompute)
+    assert np.array_equal(curve.jac(theta.copy()), historyfit._Curve(t).jac(theta))
+    with pytest.raises(AssertionError, match="terms recomputed"):
+        curve.u(theta + 1e-9)
 
 
 # --- derived metrics -------------------------------------------------------------
