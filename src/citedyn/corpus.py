@@ -105,10 +105,19 @@ class EprintRecord:
         return sum(self.yearly_citations)
 
 
-def _horizon_error(eprint_id: str, submit_year: int, retrieval_year: int) -> DataError:
-    return DataError(
-        f"eprint {eprint_id}: submit_year {submit_year} exceeds retrieval_year {retrieval_year}"
-    )
+def _check_horizon(ids, submit_years, lengths, retrieval_year: int) -> None:
+    """Refuse the first eprint submitted, or cited, after retrieval_year."""
+    late = _first(submit_years > retrieval_year)
+    if late is not None:
+        raise DataError(f"eprint {ids[late]}: submit_year {submit_years[late]} "
+                        f"exceeds retrieval_year {retrieval_year}")
+    last_years = submit_years + lengths - 1
+    late = _first(last_years > retrieval_year)
+    if late is not None:
+        raise DataError(
+            f"eprint {ids[late]}: age {lengths[late] - 1} dates citations to "
+            f"{last_years[late]}, past retrieval_year {retrieval_year}"
+        )
 
 
 class CitationCorpus:
@@ -135,8 +144,6 @@ class CitationCorpus:
             if rec.eprint_id in seen:
                 raise DataError(f"duplicate eprint_id {rec.eprint_id!r}")
             seen.add(rec.eprint_id)
-            if rec.submit_year > retrieval_year:
-                raise _horizon_error(rec.eprint_id, rec.submit_year, retrieval_year)
         index: dict[str, int] = {}
         tag_codes = np.fromiter(
             (index.setdefault(name, len(index)) for rec in records for name in rec.disciplines),
@@ -152,9 +159,11 @@ class CitationCorpus:
             )
         except OverflowError:
             raise DataError("submit years and citation counts must fit in int64") from None
+        ids = tuple(rec.eprint_id for rec in records)
+        _check_horizon(ids, years, np.array(lengths, dtype=np.int64), retrieval_year)
         member_eprints = np.repeat(np.arange(len(records)), [len(r.disciplines) for r in records])
         self._set_columns(
-            ids=tuple(rec.eprint_id for rec in records),
+            ids=ids,
             submit_years=years,
             offsets=np.concatenate(([0], np.cumsum(lengths, dtype=np.int64))),
             counts=counts,
@@ -273,6 +282,8 @@ class AgePanel:
     Ages with no observable eprint are omitted from entries and listed in
     missing_ages so downstream consumers see the gap instead of a silent
     zero. Entry ages plus missing ages are contiguous from 0.
+    percentile_cap is None when unknown (a panel-csv) and otherwise lies
+    in (0, 1].
     """
 
     discipline: str
@@ -284,6 +295,9 @@ class AgePanel:
     def __post_init__(self):
         object.__setattr__(self, "entries", tuple(PanelEntry(*e) for e in self.entries))
         object.__setattr__(self, "missing_ages", tuple(self.missing_ages))
+        cap = self.percentile_cap
+        if cap is not None and not 0.0 < cap <= 1.0:
+            raise DomainError(f"percentile_cap must lie in (0, 1], got {cap}")
         if not self.entries:
             raise DataError(f"panel {self.discipline}/{self.dataset_year}: no entries")
         for e in self.entries:
@@ -581,18 +595,9 @@ def _load_long_csv(path, retrieval_year: int | None) -> CitationCorpus:
 
     disc_perm, disc_rank = _sort_table(rows.disc_table)
 
-    last_years = submit_years + lengths - 1
     if retrieval_year is None:
-        retrieval_year = int(last_years.max())
-    late = _first(submit_years > retrieval_year)
-    if late is not None:
-        raise _horizon_error(sorted_id_table[late], submit_years[late], retrieval_year)
-    late = _first(last_years > retrieval_year)
-    if late is not None:
-        raise DataError(
-            f"eprint {sorted_id_table[late]}: age {lengths[late] - 1} dates citations to "
-            f"{last_years[late]}, past retrieval_year {retrieval_year}"
-        )
+        retrieval_year = int((submit_years + lengths - 1).max())
+    _check_horizon(sorted_id_table, submit_years, lengths, retrieval_year)
     return CitationCorpus._from_columns(
         ids=tuple(sorted_id_table),
         submit_years=submit_years,

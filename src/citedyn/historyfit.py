@@ -266,9 +266,9 @@ class FitDiagnostics:
     """What the multi-start search did. No wall time, so it is deterministic.
 
     starts: optimizer starts tried. abandoned, joined: starts the search
-    stopped (least_squares status -2; see _Search), abandoned when a start
-    left the identifiable box or reached an abandoned start's path, joined
-    when it reached the path of a start that succeeded or joined.
+    stopped (least_squares status -2; see _Search), abandoned when an
+    accepted iterate left the identifiable box, joined when it reached the
+    path of a start that succeeded or joined.
     failed: (start index, message) for each start whose optimizer raised.
     best_start, best_status: grid index and least_squares status of the
     winning start. nfev: residual evaluations over all starts that ran,
@@ -346,10 +346,9 @@ class _Search:
       max(u) (T_max + 1). A curve that stays near the data then has more
       than 1 - e^-6, over 99.7%, of that mass outside the observed ages.
 
-    won and lost are (k, 4) arrays of the accepted iterates
-    (ln A, mu, ln sigma, ln B) of earlier starts: won those of the starts
-    that succeeded, final x included, or joined; lost those of the starts
-    that were abandoned. A start that failed or ran out of evaluations
+    won is a (k, 4) array of the accepted iterates (ln A, mu, ln sigma,
+    ln B) of the earlier starts that succeeded, final x included, or
+    joined. A start that was abandoned, failed or ran out of evaluations
     adds nothing. callback, the least_squares callback, adds each iterate
     to current, then stops the start by raising StopIteration, which
     least_squares reports as status STATUS_ABANDONED, in the first of
@@ -358,9 +357,7 @@ class _Search:
     - the iterate left the box: the start is abandoned;
     - it lies within JOIN_TOL, max-abs, of a row of won: the start joins,
       since from there it would only walk on to an optimum already known,
-      and joined is set;
-    - it lies within JOIN_TOL of a row of lost: the start is abandoned,
-      as that start was.
+      and joined is set.
 
     This is the clustering idea of multi-level single linkage (Rinnooy Kan
     & Timmer, Math. Programming 39:27, 1987), applied to whole paths
@@ -375,28 +372,21 @@ class _Search:
         self.ln_a_max = (math.log(float(np.max(u))) + math.log(float(np.max(t)) + 1.0)
                          + LN_A_MARGIN)
         self.won = np.empty((0, 4))
-        self.lost = np.empty((0, 4))
         self.current = []
         self.joined = False
-
-    @staticmethod
-    def _reaches(x: np.ndarray, path: np.ndarray) -> bool:
-        return path.size > 0 and bool((np.abs(path - x[:4]) < JOIN_TOL).all(axis=1).any())
 
     def callback(self, intermediate_result):
         x = intermediate_result.x
         self.current.append(x[:4].copy())
         if x[1] < MU_FLOOR or x[0] > self.ln_a_max:
             raise StopIteration
-        if self._reaches(x, self.won):
+        if (np.abs(self.won - x[:4]) < JOIN_TOL).all(axis=1).any():
             self.joined = True
-            raise StopIteration
-        if self._reaches(x, self.lost):
             raise StopIteration
 
     def end(self, res=None) -> bool:
-        """File the running start's iterates under its result (None: it
-        failed), and return whether it joined."""
+        """Add the running start's iterates to won if it succeeded or
+        joined (res None: it failed), and return whether it joined."""
         path, self.current = self.current, []
         joined, self.joined = self.joined, False
         status = 0 if res is None else res.status
@@ -404,8 +394,6 @@ class _Search:
             path.append(res.x[:4])
         if status > 0 or joined:
             self.won = np.vstack([self.won, *path])
-        elif status == STATUS_ABANDONED:
-            self.lost = np.vstack([self.lost, *path])
         return joined
 
 
@@ -429,7 +417,7 @@ def fit_history(panel: AgePanel, options: FitOptions | None = None) -> HistoryFi
     share one lambda seed, positivity enforced by log-reparameterization
     and lambda bounded at LAMBDA_BOUND. A start is stopped early when it
     leaves the box the panel can identify or reaches the path of an
-    earlier start (see _Search).
+    earlier start that succeeded or joined (see _Search).
     The best start by residual cost among those not stopped wins;
     converged is False when it did not satisfy the optimizer's tolerances.
     The result's diagnostics record what every start did.
@@ -499,7 +487,7 @@ def fit_history(panel: AgePanel, options: FitOptions | None = None) -> HistoryFi
         detail = f"; first failure: start {failed[0][0]}, {failed[0][1]}" if failed else ""
         raise ConvergenceError(
             f"no optimization start survived: {abandoned} of {len(grid)} abandoned "
-            f"outside the identifiable box or on an abandoned path, "
+            f"outside the identifiable box, "
             f"{len(failed)} failed{detail}"
         )
     diagnostics = FitDiagnostics(

@@ -557,7 +557,7 @@ def verify_ensemble(
 
     log_sample = np.log(column(n_steps))
     var_obs = float(log_sample.var(ddof=1))
-    var_expected = log_variance(float(block.grid[-1]), vol)
+    var_expected = log_variance(n_steps * config.dt, vol)
     checks.append(
         {
             "name": "log_variance_horizon",

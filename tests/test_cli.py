@@ -381,6 +381,16 @@ def test_fit_history_from_panel_csv(tmp_path):
     assert read_envelope(metrics)["payload"]["params"] == got
 
 
+@pytest.mark.parametrize("cap", ["5", "nan", "-1", "0"])
+def test_fit_history_rejects_a_cap_outside_the_unit_interval_on_a_panel_csv(tmp_path, capsys, cap):
+    out = tmp_path / "r.json"
+    argv = ["fit-history", "--input", str(SAMPLES / "panel.csv"), "--discipline", "astro-ph",
+            "--cap", cap, "--out", str(out)]
+    assert run_command(argv) == 2
+    assert f"percentile_cap must lie in (0, 1], got {float(cap)}" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_fit_history_unknown_discipline_is_a_data_error(tmp_path):
     panel_path = tmp_path / "panel.csv"
     corpus.write_panel_csv([make_panel(ASTRO)], panel_path)

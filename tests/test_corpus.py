@@ -74,6 +74,14 @@ def test_corpus_rejects_duplicates_and_future_submissions():
         CitationCorpus(records=(rec("x", 2020, (1,)),), retrieval_year=2019)
 
 
+def test_corpus_refuses_citations_after_the_retrieval_year():
+    # the loader's rule: seven yearly counts from 2015 run to 2021
+    with pytest.raises(DataError) as err:
+        CitationCorpus(records=(rec("x", 2015, (1, 2, 3, 4, 5, 6, 7)),), retrieval_year=2016)
+    assert str(err.value) == "eprint x: age 6 dates citations to 2021, past retrieval_year 2016"
+    assert len(CitationCorpus(records=(rec("x", 2015, (1, 2)),), retrieval_year=2016)) == 1
+
+
 def test_corpus_counts_must_fit_int64(tmp_path):
     with pytest.raises(DataError, match="must fit in int64"):
         CitationCorpus(records=(rec("x", 2015, (2**63,)),), retrieval_year=2019)
