@@ -73,7 +73,8 @@ class EprintRecord:
     """A single eprint: identity, tagging, and its yearly citation vector.
 
     yearly_citations[i] is the number of citations received at age i, i.e.
-    during calendar year submit_year + i.
+    during calendar year submit_year + i. A record is a plain value; the
+    CitationCorpus built from it checks it.
     """
 
     eprint_id: str
@@ -83,41 +84,7 @@ class EprintRecord:
 
     def __post_init__(self):
         object.__setattr__(self, "disciplines", frozenset(self.disciplines))
-        object.__setattr__(self, "yearly_citations", tuple(int(c) for c in self.yearly_citations))
-        if not self.disciplines:
-            raise DataError(f"eprint {self.eprint_id}: discipline set is empty")
-        if self.submit_year < MIN_SUBMIT_YEAR:
-            raise DataError(
-                f"eprint {self.eprint_id}: submit_year {self.submit_year} predates {MIN_SUBMIT_YEAR}"
-            )
-        if any(c < 0 for c in self.yearly_citations):
-            raise DataError(f"eprint {self.eprint_id}: negative citation count")
-
-    def citations_through(self, year: int) -> int:
-        """Total citations accumulated through calendar year `year`."""
-        horizon = year - self.submit_year + 1
-        if horizon <= 0:
-            return 0
-        return sum(self.yearly_citations[:horizon])
-
-    @property
-    def lifetime_citations(self) -> int:
-        return sum(self.yearly_citations)
-
-
-def _check_horizon(ids, submit_years, lengths, retrieval_year: int) -> None:
-    """Refuse the first eprint submitted, or cited, after retrieval_year."""
-    late = _first(submit_years > retrieval_year)
-    if late is not None:
-        raise DataError(f"eprint {ids[late]}: submit_year {submit_years[late]} "
-                        f"exceeds retrieval_year {retrieval_year}")
-    last_years = submit_years + lengths - 1
-    late = _first(last_years > retrieval_year)
-    if late is not None:
-        raise DataError(
-            f"eprint {ids[late]}: age {lengths[late] - 1} dates citations to "
-            f"{last_years[late]}, past retrieval_year {retrieval_year}"
-        )
+        object.__setattr__(self, "yearly_citations", tuple(self.yearly_citations))
 
 
 class CitationCorpus:
@@ -126,52 +93,55 @@ class CitationCorpus:
     Eprint k has id `ids[k]`, submission year `submit_years[k]` and yearly
     citations `counts[offsets[k]:offsets[k + 1]]`, indexed by age. It is
     tagged with `discipline_names[member_disciplines[j]]` for every j with
-    `member_eprints[j] == k`. The pairs are sorted, and `discipline_names`
-    holds the disciplines in use, sorted. The arrays are int64 and
-    read-only.
+    `member_eprints[j] == k`. The arrays are int64 and read-only.
 
-    `CitationCorpus(records, retrieval_year)` keeps the records' order;
-    `load_corpus` orders eprints by id. `records` gives the eprints back
-    as EprintRecords, built on first use.
+    Every constructor goes through `_set_columns`. It raises DataError,
+    naming the eprint or discipline at fault, for the first invariant
+    broken of these, checked in order:
+
+    1. there is an eprint, and the columns' lengths agree with `ids`;
+    2. ids are strings, non-empty, unchanged by strip(), free of '\\r' and
+       unique;
+    3. discipline names keep the same rules and are sorted;
+    4. offsets start at 0, end at len(counts) and rise by at least 1 per
+       eprint, so every eprint has an age;
+    5. counts are integers in int64, never negative, summing below 2**62;
+    6. retrieval_year and the submit years are integers in int64, each
+       submit year lies in [MIN_SUBMIT_YEAR, retrieval_year], and no
+       eprint's last age is dated after retrieval_year;
+    7. every eprint has a discipline;
+    8. the (eprint, discipline) pairs are in range, sorted and unique, and
+       every discipline has an eprint.
+
+    A float or a string is refused where an integer belongs, even when it
+    is whole. Under these invariants `load_corpus` reads what
+    `write_long_csv` writes back as an equal corpus.
+    `CitationCorpus(records, retrieval_year)` keeps the records' order, so
+    sorted ids are not an invariant; `load_corpus` orders eprints by id.
+    `records` gives the eprints back as EprintRecords, built from the
+    columns on first use.
     """
 
     _ARRAYS = ("submit_years", "offsets", "counts", "member_eprints", "member_disciplines")
 
     def __init__(self, records: Iterable[EprintRecord], retrieval_year: int):
         records = tuple(records)
-        seen: set[str] = set()
-        for rec in records:
-            if rec.eprint_id in seen:
-                raise DataError(f"duplicate eprint_id {rec.eprint_id!r}")
-            seen.add(rec.eprint_id)
-        index: dict[str, int] = {}
-        tag_codes = np.fromiter(
-            (index.setdefault(name, len(index)) for rec in records for name in rec.disciplines),
-            np.int64,
-        )
-        tag_table = list(index)
-        perm, rank = _sort_table(tag_table)
-        lengths = [len(rec.yearly_citations) for rec in records]
-        try:
-            years = np.fromiter((rec.submit_year for rec in records), np.int64, len(records))
-            counts = np.fromiter(
-                chain.from_iterable(rec.yearly_citations for rec in records), np.int64, sum(lengths)
-            )
-        except OverflowError:
-            raise DataError("submit years and citation counts must fit in int64") from None
-        ids = tuple(rec.eprint_id for rec in records)
-        _check_horizon(ids, years, np.array(lengths, dtype=np.int64), retrieval_year)
-        member_eprints = np.repeat(np.arange(len(records)), [len(r.disciplines) for r in records])
+        # key=str: a name that is not a string still sorts; _set_columns refuses it.
+        table = sorted({name for rec in records for name in rec.disciplines}, key=str)
+        code = {name: c for c, name in enumerate(table)}
         self._set_columns(
-            ids=ids,
-            submit_years=years,
-            offsets=np.concatenate(([0], np.cumsum(lengths, dtype=np.int64))),
-            counts=counts,
-            discipline_names=tuple(tag_table[k] for k in perm.tolist()),
-            **_memberships(member_eprints, rank[tag_codes], len(perm)),
+            ids=tuple(rec.eprint_id for rec in records),
+            submit_years=[rec.submit_year for rec in records],
+            offsets=np.cumsum([0, *(len(rec.yearly_citations) for rec in records)]),
+            counts=list(chain.from_iterable(rec.yearly_citations for rec in records)),
+            discipline_names=tuple(table),
+            **_memberships(
+                np.repeat(np.arange(len(records)), [len(rec.disciplines) for rec in records]),
+                np.fromiter((code[name] for rec in records for name in rec.disciplines), np.int64),
+                len(table),
+            ),
             retrieval_year=retrieval_year,
         )
-        self.__dict__["records"] = records
 
     @classmethod
     def _from_columns(cls, **columns) -> "CitationCorpus":
@@ -179,17 +149,66 @@ class CitationCorpus:
         corpus._set_columns(**columns)
         return corpus
 
-    def _set_columns(self, *, ids, discipline_names, retrieval_year, **arrays):
+    def _set_columns(self, *, ids, submit_years, offsets, counts, discipline_names,
+                     member_eprints, member_disciplines, retrieval_year):
+        """Check the columns against the invariants above, in order, and keep them."""
+        ids, names = tuple(ids), tuple(discipline_names)
+        n = len(ids)
+        if not n:
+            raise DataError("corpus holds no eprints")
+        if (len(offsets), len(submit_years), len(member_eprints)) != (
+                n + 1, n, len(member_disciplines)):
+            raise DataError(f"column lengths disagree with the {n} ids")
+        _check_names(ids, "eprint", "eprint_id")
+        _check_names(names, "discipline", "name")
+        _refuse([a > b for a, b in zip(names, names[1:])],
+                lambda d: f"discipline {names[d + 1]!r}: sorts before {names[d]!r}")
+
+        def eprint(k):
+            return f"eprint {ids[k]}"
+
+        offsets = _int64s(offsets, "offset", lambda j: eprint(min(j, n - 1)))
+        if offsets[0] != 0 or offsets[-1] != len(counts):
+            raise DataError(f"offsets run from {offsets[0]} to {offsets[-1]}, "
+                            f"not from 0 to {len(counts)}")
+
+        def owner(j):  # the eprint whose counts hold position j
+            return int(np.searchsorted(offsets, j, side="right")) - 1
+
+        lengths = np.diff(offsets)
+        _refuse(lengths < 1, lambda k: eprint(k) + (
+            ": offsets decrease" if lengths[k] else ": no yearly citation counts"))
+        counts = _int64s(counts, "citation count", lambda j: eprint(owner(j)))
+        _refuse(counts < 0, lambda j: f"{eprint(owner(j))}: negative citation count "
+                                      f"{counts[j]} at age {j - offsets[owner(j)]}")
         # Totals are taken from one running sum over `counts`, so the whole
         # corpus's citations must stay inside int64; 2**62 leaves room for
         # the float sum's rounding.
-        if arrays["counts"].sum(dtype=np.float64) >= 2.0**62:
+        if counts.sum(dtype=np.float64) >= 2.0**62:
             raise DataError("citation counts must sum below 2**62")
-        self.ids = ids
-        self.discipline_names = discipline_names
-        self.retrieval_year = retrieval_year
-        for name in self._ARRAYS:
-            array = np.asarray(arrays[name], dtype=np.int64)
+
+        retrieval_year = int(_int64s([retrieval_year], "retrieval_year", lambda j: "corpus")[0])
+        years = _int64s(submit_years, "submit_year", eprint)
+        _refuse(years < MIN_SUBMIT_YEAR,
+                lambda k: f"{eprint(k)}: submit_year {years[k]} predates {MIN_SUBMIT_YEAR}")
+        _refuse(years > retrieval_year, lambda k: f"{eprint(k)}: submit_year {years[k]} "
+                                                  f"exceeds retrieval_year {retrieval_year}")
+        _refuse(lengths - 1 > retrieval_year - years, lambda k: (
+            f"{eprint(k)}: age {lengths[k] - 1} dates citations to "
+            f"{years[k] + lengths[k] - 1}, past retrieval_year {retrieval_year}"))
+
+        members = _int64s(member_eprints, "member eprint", lambda j: f"membership {j}")
+        tags = _int64s(member_disciplines, "member discipline", lambda j: f"membership {j}")
+        _refuse(~np.isin(np.arange(n), members), lambda k: f"{eprint(k)}: discipline set is empty")
+        _refuse((members < 0) | (members >= n) | (tags < 0) | (tags >= len(names)),
+                lambda j: f"membership {j}: ({members[j]}, {tags[j]}) out of range")
+        _refuse(np.diff(members * len(names) + tags) < 1,
+                lambda j: f"{eprint(members[j + 1])}: memberships not sorted and unique")
+        _refuse(~np.isin(np.arange(len(names)), tags),
+                lambda d: f"discipline {names[d]!r}: no eprint is tagged with it")
+
+        self.ids, self.discipline_names, self.retrieval_year = ids, names, retrieval_year
+        for name, array in zip(self._ARRAYS, (years, offsets, counts, members, tags)):
             array.flags.writeable = False
             setattr(self, name, array)
 
@@ -223,10 +242,9 @@ class CitationCorpus:
     def records(self) -> tuple[EprintRecord, ...]:
         counts, offsets = self.counts.tolist(), self.offsets.tolist()
         return tuple(
-            EprintRecord(eid, frozenset(tags), year, counts[offsets[k]:offsets[k + 1]])
-            for k, (eid, tags, year) in enumerate(
-                zip(self.ids, self._tag_lists(), self.submit_years.tolist())
-            )
+            EprintRecord(eid, frozenset(tags), year, counts[start:end])
+            for eid, tags, year, start, end in zip(
+                self.ids, self._tag_lists(), self.submit_years.tolist(), offsets, offsets[1:])
         )
 
     def members(self, discipline: str) -> np.ndarray:
@@ -245,19 +263,11 @@ class CitationCorpus:
         start, end = self.offsets[eprints], self.offsets[eprints + 1]
         if through is not None:
             if through > self.retrieval_year:
-                raise DomainError(
-                    f"dataset_year {through} exceeds retrieval_year {self.retrieval_year}"
-                )
+                raise DomainError(f"dataset_year {through} exceeds retrieval_year "
+                                  f"{self.retrieval_year}")
             end = np.clip(start + (through - self.submit_years[eprints] + 1), start, end)
         running = np.concatenate(([0], np.cumsum(self.counts)))
         return running[end] - running[start]
-
-    def in_discipline(self, discipline: str) -> list[EprintRecord]:
-        return [self.records[k] for k in self.members(discipline).tolist()]
-
-    @property
-    def disciplines(self) -> set[str]:
-        return set(self.discipline_names)
 
 
 @dataclass(frozen=True)
@@ -307,9 +317,7 @@ class AgePanel:
                 raise DataError(f"panel {self.discipline}: age {e.t} has no eprints")
         covered = sorted([e.t for e in self.entries] + list(self.missing_ages))
         if covered != list(range(len(covered))):
-            raise DataError(
-                f"panel {self.discipline}: ages {covered} not contiguous from 0"
-            )
+            raise DataError(f"panel {self.discipline}: ages {covered} not contiguous from 0")
 
     @property
     def ages(self) -> list[int]:
@@ -318,10 +326,7 @@ class AgePanel:
     @property
     def population(self) -> int:
         """Eprints contributing at age 0, i.e. everyone after the cap."""
-        for e in self.entries:
-            if e.t == 0:
-                return e.n
-        return 0
+        return next((e.n for e in self.entries if e.t == 0), 0)
 
 
 # --- ingestion -------------------------------------------------------------
@@ -502,6 +507,42 @@ def _first(mask: np.ndarray) -> int | None:
     return int(mask.argmax()) if mask.any() else None
 
 
+def _refuse(mask, message) -> None:
+    """Raise DataError(message(k)) for the first k where mask holds."""
+    k = _first(np.asarray(mask, dtype=bool))
+    if k is not None:
+        raise DataError(message(k))
+
+
+def _check_names(names: tuple, kind: str, field: str) -> None:
+    """Refuse the first name that breaks invariant 2 of CitationCorpus, by the
+    first rule it breaks. The loader strips names, and csv.writer leaves a
+    bare '\\r' unquoted, so a name that breaks one would not survive an echo."""
+    seen: set[str] = set()
+    for name in names:
+        fault = ("is not a string" if not isinstance(name, str) else "is empty" if not name
+                 else "has surrounding whitespace" if name != name.strip()
+                 else "holds a carriage return" if "\r" in name
+                 else "is a duplicate" if name in seen else None)
+        if fault:
+            raise DataError(f"{kind} {name!r}: {field} {fault}")
+        seen.add(name)
+
+
+def _int64s(values, what: str, owner) -> np.ndarray:
+    """`values` as a flat int64 array, or a DataError naming owner(j) for
+    the first value j that is not an integer in int64; a whole float too."""
+    array = np.asarray(values)
+    if array.ndim == 1 and array.dtype.kind == "i":
+        return array.astype(np.int64, copy=False)
+    for j, value in enumerate(array.tolist() if isinstance(values, np.ndarray) else values):
+        if not isinstance(value, (int, np.integer)):
+            raise DataError(f"{owner(j)}: {what} {value!r} is not an integer")
+        if not _INT64.min <= value <= _INT64.max:
+            raise DataError(f"{owner(j)}: {what} {value} must fit in int64")
+    return array.astype(np.int64)
+
+
 def _sort_table(table: list[str]) -> tuple[np.ndarray, np.ndarray]:
     """The codes of `table` in sorted order, and each code's sorted position."""
     perm = np.array(sorted(range(len(table)), key=table.__getitem__), dtype=np.int64)
@@ -597,7 +638,6 @@ def _load_long_csv(path, retrieval_year: int | None) -> CitationCorpus:
 
     if retrieval_year is None:
         retrieval_year = int((submit_years + lengths - 1).max())
-    _check_horizon(sorted_id_table, submit_years, lengths, retrieval_year)
     return CitationCorpus._from_columns(
         ids=tuple(sorted_id_table),
         submit_years=submit_years,
@@ -616,45 +656,33 @@ def _load_panel_csv(path) -> list[AgePanel]:
         _check_header(reader.fieldnames, PANEL_CSV_COLUMNS, path)
         for row_no, row in enumerate(reader, start=2):
             disc = (row.get("discipline") or "").strip()
-            if not disc:
-                raise DataError(f"row {row_no}: empty discipline")
             try:
+                if not disc:
+                    raise ValueError("empty discipline")
                 year, age, n, total = (_int64_cell(row[c], c) for c in PANEL_CSV_COLUMNS[1:])
+                if age < 0:
+                    raise ValueError(f"negative age {age}")
+                if n < 1:
+                    raise ValueError(f"n_eprints must be >= 1, got {n}")
+                if total < 0:
+                    raise ValueError(f"negative total_citations {total}")
+                if age in groups.setdefault((disc, year), {}):
+                    raise ValueError("duplicate (discipline, dataset_year, age)")
             except ValueError as exc:
                 raise DataError(f"row {row_no}: {exc}") from None
-            if age < 0:
-                raise DataError(f"row {row_no}: negative age {age}")
-            if n < 1:
-                raise DataError(f"row {row_no}: n_eprints must be >= 1, got {n}")
-            if total < 0:
-                raise DataError(f"row {row_no}: negative total_citations {total}")
-            ages = groups.setdefault((disc, year), {})
-            if age in ages:
-                raise DataError(f"row {row_no}: duplicate (discipline, dataset_year, age)")
-            ages[age] = (n, total)
+            groups[disc, year][age] = (n, total)
 
     if not groups:
         raise DataError(f"{path}: no data rows")
 
     panels = []
     for (disc, year), ages in sorted(groups.items()):
-        max_age = max(ages)
-        entries = [
-            PanelEntry(t=a, u=ages[a][1] / ages[a][0], n=ages[a][0])
-            for a in sorted(ages)
-        ]
-        missing = tuple(a for a in range(max_age + 1) if a not in ages)
+        missing = [a for a in range(max(ages) + 1) if a not in ages]
         if missing:
-            log.warning("panel %s/%s: ages %s missing", disc, year, list(missing))
-        panels.append(
-            AgePanel(
-                discipline=disc,
-                dataset_year=year,
-                percentile_cap=None,
-                entries=tuple(entries),
-                missing_ages=missing,
-            )
-        )
+            log.warning("panel %s/%s: ages %s missing", disc, year, missing)
+        entries = [PanelEntry(t=a, u=total / n, n=n) for a, (n, total) in sorted(ages.items())]
+        panels.append(AgePanel(discipline=disc, dataset_year=year, percentile_cap=None,
+                               entries=entries, missing_ages=missing))
     return panels
 
 
@@ -686,13 +714,8 @@ def percentile_summary(corpus: CitationCorpus, discipline: str, p: float) -> Per
     return PercentileSummary(p=p, threshold=threshold, n_below=n_below)
 
 
-def build_age_panel(
-    corpus: CitationCorpus,
-    discipline: str,
-    dataset_year: int,
-    percentile_cap: float,
-    max_age: int,
-) -> AgePanel:
+def build_age_panel(corpus: CitationCorpus, discipline: str, dataset_year: int,
+                    percentile_cap: float, max_age: int) -> AgePanel:
     """Aggregate a discipline's records into the u_i series at one cut year.
 
     Includes eprints submitted in or before dataset_year; their citation
@@ -702,9 +725,8 @@ def build_age_panel(
     age i divided by the number of eprints observable at that age.
     """
     if dataset_year > corpus.retrieval_year:
-        raise DomainError(
-            f"dataset_year {dataset_year} exceeds retrieval_year {corpus.retrieval_year}"
-        )
+        raise DomainError(f"dataset_year {dataset_year} exceeds retrieval_year "
+                          f"{corpus.retrieval_year}")
     if max_age < 1:
         raise DomainError(f"max_age must be >= 1, got {max_age}")
     if not 0.0 < percentile_cap <= 1.0:
@@ -713,9 +735,7 @@ def build_age_panel(
     members = corpus.members(discipline)
     members = members[corpus.submit_years[members] <= dataset_year]
     if not members.size:
-        raise DataError(
-            f"no eprints in {discipline!r} submitted by {dataset_year}"
-        )
+        raise DataError(f"no eprints in {discipline!r} submitted by {dataset_year}")
     totals = corpus.citation_totals(members, through=dataset_year)
     threshold, _ = _threshold_scan(totals, percentile_cap)
     kept = members[totals <= threshold]
@@ -731,35 +751,18 @@ def build_age_panel(
     np.add.at(totals_by_age, age, corpus.counts[np.repeat(start, n_counted) + age])
     observable = np.cumsum(np.bincount(np.minimum(span, max_age), minlength=max_age + 1)[::-1])[::-1]
 
-    entries: list[PanelEntry] = []
-    missing: list[int] = []
-    for t, (total, n) in enumerate(zip(totals_by_age.tolist(), observable.tolist())):
-        if n:
-            entries.append(PanelEntry(t=t, u=total / n, n=n))
-        else:
-            missing.append(t)
+    entries = [PanelEntry(t=t, u=total / n, n=n) for t, (total, n)
+               in enumerate(zip(totals_by_age.tolist(), observable.tolist())) if n]
+    missing = np.flatnonzero(observable == 0).tolist()
     if missing:
-        log.warning(
-            "panel %s/%s: no eprints observable at ages %s", discipline, dataset_year, missing
-        )
-    return AgePanel(
-        discipline=discipline,
-        dataset_year=dataset_year,
-        percentile_cap=percentile_cap,
-        entries=tuple(entries),
-        missing_ages=tuple(missing),
-    )
+        log.warning("panel %s/%s: no eprints observable at ages %s",
+                    discipline, dataset_year, missing)
+    return AgePanel(discipline=discipline, dataset_year=dataset_year,
+                    percentile_cap=percentile_cap, entries=entries, missing_ages=missing)
 
 
-def build_trend_subsets(
-    corpus: CitationCorpus,
-    discipline: str,
-    first_year: int,
-    last_year: int,
-    percentile_cap: float,
-    *,
-    max_age: int | None = None,
-) -> list[AgePanel]:
+def build_trend_subsets(corpus: CitationCorpus, discipline: str, first_year: int, last_year: int,
+                        percentile_cap: float, *, max_age: int | None = None) -> list[AgePanel]:
     """One independently capped panel per dataset year in [first, last].
 
     max_age=None sizes each panel to its own full window (dataset year
@@ -768,9 +771,7 @@ def build_trend_subsets(
     if first_year > last_year:
         raise DomainError(f"first_year {first_year} exceeds last_year {last_year}")
     if last_year > corpus.retrieval_year:
-        raise DomainError(
-            f"last_year {last_year} exceeds retrieval_year {corpus.retrieval_year}"
-        )
+        raise DomainError(f"last_year {last_year} exceeds retrieval_year {corpus.retrieval_year}")
     submits = corpus.submit_years[corpus.members(discipline)]
     panels = []
     for year in range(first_year, last_year + 1):
@@ -781,9 +782,7 @@ def build_trend_subsets(
             age_span = max(1, year - int(included.min()))
         else:
             age_span = max_age
-        panels.append(
-            build_age_panel(corpus, discipline, year, percentile_cap, age_span)
-        )
+        panels.append(build_age_panel(corpus, discipline, year, percentile_cap, age_span))
     return panels
 
 

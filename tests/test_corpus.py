@@ -5,7 +5,7 @@ import logging
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from citedyn import corpus as corpus_mod
@@ -41,21 +41,15 @@ def rec(eid, year, counts, disciplines=("astro-ph",)):
 
 
 def test_record_rejects_bad_fields():
+    def build(record):
+        return CitationCorpus(records=(record,), retrieval_year=2019)
+
     with pytest.raises(DataError, match="discipline"):
-        rec("x", 2015, (1,), disciplines=())
+        build(rec("x", 2015, (1,), disciplines=()))
     with pytest.raises(DataError, match="negative"):
-        rec("x", 2015, (1, -2))
+        build(rec("x", 2015, (1, -2)))
     with pytest.raises(DataError, match="predates"):
-        rec("x", 1985, (1,))
-
-
-def test_citations_through_and_lifetime():
-    r = rec("x", 2015, (1, 2, 3))
-    assert r.citations_through(2014) == 0
-    assert r.citations_through(2015) == 1
-    assert r.citations_through(2016) == 3
-    assert r.citations_through(2030) == 6
-    assert r.lifetime_citations == 6
+        build(rec("x", 1985, (1,)))
 
 
 def test_citation_totals_end_at_the_retrieval_year():
@@ -93,6 +87,96 @@ def test_corpus_counts_must_fit_int64(tmp_path):
         load_corpus(path, "long-csv")
 
 
+# Eprints a and b as records and as the columns they make; each case below
+# changes them to break one invariant.
+A, B = ("a", 2015, (1, 2), ("x", "y")), ("b", 2016, (3,), ("y",))
+BASE_COLUMNS = dict(
+    ids=("a", "b"), submit_years=[2015, 2016], offsets=[0, 2, 3], counts=[1, 2, 3],
+    discipline_names=("x", "y"), member_eprints=[0, 0, 1], member_disciplines=[0, 1, 1],
+    retrieval_year=2019,
+)
+
+# case: (records breaking the invariant, or None where records cannot,
+# the same change to BASE_COLUMNS, the DataError message), in check order.
+INVARIANTS = {
+    "no eprints": ((), dict(ids=(), submit_years=[], offsets=[0], counts=[], discipline_names=(),
+                            member_eprints=[], member_disciplines=[]), "corpus holds no eprints"),
+    "column lengths": (None, dict(submit_years=[2015]), "column lengths disagree with the 2 ids"),
+    "id not a string": (((7, *A[1:]), B), dict(ids=(7, "b")), "eprint 7: eprint_id is not a string"),
+    "empty id": ((("", *A[1:]), B), dict(ids=("", "b")), "eprint '': eprint_id is empty"),
+    "padded id": (((" a", *A[1:]), B), dict(ids=(" a", "b")),
+                  "eprint ' a': eprint_id has surrounding whitespace"),
+    "id with CR": ((("a\rb", *A[1:]), B), dict(ids=("a\rb", "b")),
+                   "eprint 'a\\rb': eprint_id holds a carriage return"),
+    "duplicate id": ((A, ("a", *B[1:])), dict(ids=("a", "a")), "eprint 'a': eprint_id is a duplicate"),
+    "name not a string": (((*A[:3], (7, "y")), B), dict(discipline_names=(7, "y")),
+                          "discipline 7: name is not a string"),
+    "padded name": (((*A[:3], (" x", "y")), B), dict(discipline_names=(" x", "y")),
+                    "discipline ' x': name has surrounding whitespace"),
+    "name with CR": (((*A[:3], ("x\rx", "y")), B), dict(discipline_names=("x\rx", "y")),
+                     "discipline 'x\\rx': name holds a carriage return"),
+    "duplicate name": (None, dict(discipline_names=("x", "x")), "discipline 'x': name is a duplicate"),
+    "names unsorted": (None, dict(discipline_names=("y", "x")), "discipline 'x': sorts before 'y'"),
+    "offsets start": (None, dict(offsets=[1, 2, 3]), "offsets run from 1 to 3, not from 0 to 3"),
+    "offsets end": (None, dict(offsets=[0, 2, 4]), "offsets run from 0 to 4, not from 0 to 3"),
+    "offsets decrease": (None, dict(offsets=[0, 4, 3]), "eprint b: offsets decrease"),
+    "no ages": (((*A[:2], (), A[3]), B), dict(offsets=[0, 0, 1], counts=[3]),
+                "eprint a: no yearly citation counts"),
+    "float count": (((*A[:2], (1.5, 2), A[3]), B), dict(counts=[1.5, 2, 3]),
+                    "eprint a: citation count 1.5 is not an integer"),
+    "whole float count": ((A, (*B[:2], (3.0,), B[3])), dict(counts=[1, 2, 3.0]),
+                          "eprint b: citation count 3.0 is not an integer"),
+    "str count": ((A, (*B[:2], ("3",), B[3])), dict(counts=[1, 2, "3"]),
+                  "eprint b: citation count '3' is not an integer"),
+    "count past int64": (((*A[:2], (1, 2**63), A[3]), B), dict(counts=[1, 2**63, 3]),
+                         f"eprint a: citation count {2**63} must fit in int64"),
+    "negative count": (((*A[:2], (1, -2), A[3]), B), dict(counts=[1, -2, 3]),
+                       "eprint a: negative citation count -2 at age 1"),
+    "count sum": (((*A[:2], (2**61, 2**61), A[3]), B), dict(counts=[2**61, 2**61, 3]),
+                  "citation counts must sum below 2**62"),
+    "float retrieval year": ((A, B), dict(retrieval_year=2019.0),
+                             "corpus: retrieval_year 2019.0 is not an integer"),
+    "str year": (((A[0], "2015", *A[2:]), B), dict(submit_years=["2015", 2016]),
+                 "eprint a: submit_year '2015' is not an integer"),
+    "early year": (((A[0], 1985, *A[2:]), B), dict(submit_years=[1985, 2016]),
+                   "eprint a: submit_year 1985 predates 1991"),
+    "late year": ((A, (B[0], 2020, *B[2:])), dict(submit_years=[2015, 2020]),
+                  "eprint b: submit_year 2020 exceeds retrieval_year 2019"),
+    "late age": (((*A[:2], (1,) * 6, A[3]), B), dict(offsets=[0, 6, 7], counts=[1] * 6 + [3]),
+                 "eprint a: age 5 dates citations to 2020, past retrieval_year 2019"),
+    "no discipline": (((*A[:3], ()), B), dict(discipline_names=("y",), member_eprints=[1],
+                                              member_disciplines=[0]),
+                      "eprint a: discipline set is empty"),
+    "membership out of range": (None, dict(member_disciplines=[0, 1, 2]),
+                                "membership 2: (1, 2) out of range"),
+    "memberships unsorted": (None, dict(member_eprints=[0, 1, 0], member_disciplines=[0, 1, 1]),
+                             "eprint a: memberships not sorted and unique"),
+    "memberships repeated": (None, dict(member_eprints=[0, 0, 1], member_disciplines=[1, 1, 1]),
+                             "eprint a: memberships not sorted and unique"),
+    "unused discipline": (None, dict(discipline_names=("x", "y", "z")),
+                          "discipline 'z': no eprint is tagged with it"),
+}
+
+
+def test_columns_and_records_build_one_corpus():
+    corpus = CitationCorpus(records=(rec(*A), rec(*B)), retrieval_year=2019)
+    assert CitationCorpus._from_columns(**BASE_COLUMNS) == corpus
+
+
+@pytest.mark.parametrize("case", list(INVARIANTS))
+def test_every_constructor_refuses_the_same_inputs(case):
+    records, changes, message = INVARIANTS[case]
+    columns = {**BASE_COLUMNS, **changes}
+    with pytest.raises(DataError) as err:
+        CitationCorpus._from_columns(**columns)
+    assert str(err.value) == message
+    if records is not None:
+        with pytest.raises(DataError) as err:
+            CitationCorpus(records=[rec(*r) for r in records],
+                           retrieval_year=columns["retrieval_year"])
+        assert str(err.value) == message
+
+
 def test_corpus_discipline_lookup():
     c = CitationCorpus(
         records=(
@@ -101,9 +185,10 @@ def test_corpus_discipline_lookup():
         ),
         retrieval_year=2019,
     )
-    assert c.disciplines == {"astro-ph", "hep"}
-    assert [r.eprint_id for r in c.in_discipline("astro-ph")] == ["a"]
-    assert len(c.in_discipline("hep")) == 2
+    assert c.discipline_names == ("astro-ph", "hep")
+    assert [c.ids[k] for k in c.members("astro-ph").tolist()] == ["a"]
+    assert c.members("hep").tolist() == [0, 1]
+    assert c.members("math").tolist() == []
 
 
 # --- long-csv ingestion --------------------------------------------------------
@@ -278,32 +363,70 @@ def test_long_csv_repeated_column_reads_last(tmp_path):
     assert load_corpus(path, "long-csv").records[0].yearly_citations == (0, 4)
 
 
-_ID_CHARS = st.sampled_from(list('ab1,"\'.-/'))
+_ID_CHARS = list('ab1,"\'.-/')
+# What an echo must carry through, or the constructor refuse: padding,
+# line breaks and a bare carriage return.
+_WIDE_CHARS = _ID_CHARS + [" ", "\t", "\n", "\r"]
+_EDGE_NAMES = ["", " a", "a ", "\r", "a\rb", "a\nb", "a b", "a\tb", "a\r\nb"]
 
 
 @st.composite
-def corpora(draw):
-    ids = draw(st.lists(st.text(_ID_CHARS, min_size=1, max_size=6), min_size=1, max_size=6,
-                        unique=True))
-    records = [
-        EprintRecord(
-            eprint_id=eid,
-            disciplines=draw(st.frozensets(st.text(_ID_CHARS, min_size=1, max_size=4),
-                                           min_size=1, max_size=3)),
-            submit_year=draw(st.integers(corpus_mod.MIN_SUBMIT_YEAR, 2020)),
-            yearly_citations=draw(st.lists(st.integers(0, 40), min_size=1, max_size=5)),
-        )
-        for eid in sorted(ids)
-    ]
-    horizon = max(r.submit_year + len(r.yearly_citations) - 1 for r in records)
-    return CitationCorpus(records=tuple(records), retrieval_year=horizon)
+def corpus_inputs(draw, wide=False):
+    """Records, sorted by id, and a retrieval year.
+
+    wide=True may also draw, per group of fields, what the constructor
+    must refuse: empty, padded or '\\r'-holding ids and discipline names,
+    repeated ids, empty citation vectors, float or str counts and years,
+    and a retrieval year before an eprint's last age.
+    """
+    def pick(valid, refusable):
+        return st.one_of(valid, refusable) if wide and draw(st.booleans()) else valid
+
+    def names(size):
+        return pick(st.text(st.sampled_from(_ID_CHARS), min_size=1, max_size=size),
+                    st.text(st.sampled_from(_WIDE_CHARS), max_size=size)
+                    | st.sampled_from(_EDGE_NAMES))
+
+    ids = draw(st.lists(names(6), min_size=1, max_size=6, unique=not (wide and draw(st.booleans()))))
+    tags = pick(st.frozensets(names(4), min_size=1, max_size=3), st.frozensets(names(4), max_size=3))
+    years = pick(st.integers(corpus_mod.MIN_SUBMIT_YEAR, 2020), st.sampled_from([1990, 2015.0, "2015"]))
+    counts = pick(st.lists(st.integers(0, 40), min_size=1, max_size=5),
+                  st.lists(st.sampled_from([0, 7, -1, 1.5, 2.0, "3"]), max_size=5))
+    records = tuple(EprintRecord(eid, draw(tags), draw(years), draw(counts))
+                    for eid in sorted(ids, key=str))
+    horizon = max((r.submit_year + len(r.yearly_citations) - 1 for r in records
+                   if isinstance(r.submit_year, int)), default=2020)
+    return records, horizon + draw(pick(st.just(0), st.integers(-1, 1)))
 
 
-@given(corpora())
-def test_long_csv_round_trip_property(tmp_path_factory, original):
+def corpora():
+    return corpus_inputs().map(lambda inputs: CitationCorpus(*inputs))
+
+
+def one_record(eid="a", disciplines=("x",), year=2015, counts=(1,)):
+    return example(((EprintRecord(eid, frozenset(disciplines), year, counts),), 2015))
+
+
+@settings(max_examples=200)
+@given(corpus_inputs(wide=True))
+@one_record(eid=" a ")
+@one_record(eid="a\rb")
+@one_record(eid=7)
+@one_record(disciplines=("x\ry",))
+@one_record(counts=())
+@one_record(counts=(1.7,))
+@one_record(counts=("3",))
+@one_record(year="2015")
+def test_long_csv_round_trip_property(tmp_path_factory, inputs):
+    # Whatever the constructor takes, a long-csv echo reads back equal.
+    records, retrieval_year = inputs
+    try:
+        original = CitationCorpus(records=records, retrieval_year=retrieval_year)
+    except DataError:
+        return
     path = tmp_path_factory.mktemp("round") / "corpus.csv"
     write_long_csv(original, path)
-    assert load_corpus(path, "long-csv") == original
+    assert load_corpus(path, "long-csv", retrieval_year=retrieval_year) == original
 
 
 def load_logged(path):
@@ -391,6 +514,11 @@ MORE_LOAD_ERRORS = {
     "multi-line id is one row when reread": (
         ['"a\nb",x,2015,0,1', "c,x,2015,0,1", "c,x,2015,1,x"],
         "row 4: column 'citations_in_year' is not an integer: 'x'",
+    ),
+    # The row rules pass a quoted '\r'; the corpus refuses it, as it does
+    # through every constructor.
+    "quoted carriage return in an id": (
+        ['"a\rb",x,2015,0,1'], "eprint 'a\\rb': eprint_id holds a carriage return",
     ),
     "count conflict judged by file order": (
         ["b,x,2015,0,1", "a,y,2015,0,1", "a,x,2015,0,2"],
@@ -670,6 +798,15 @@ def test_trend_subsets_validation():
 # are the formulas written out one eprint at a time.
 
 
+def citations_through(r, year):
+    """Citations r accumulated through calendar year `year`."""
+    return sum(r.yearly_citations[:max(year - r.submit_year + 1, 0)])
+
+
+def lifetime_citations(r):
+    return sum(r.yearly_citations)
+
+
 def loop_threshold(totals, p):
     totals = sorted(totals)
     n = len(totals)
@@ -687,7 +824,7 @@ def loop_threshold(totals, p):
 
 def loop_age_panel(recs, dataset_year, cap, max_age):
     recs = [r for r in recs if r.submit_year <= dataset_year]
-    totals = [r.citations_through(dataset_year) for r in recs]
+    totals = [citations_through(r, dataset_year) for r in recs]
     threshold, _ = loop_threshold(totals, cap)
     kept = [r for r, c in zip(recs, totals) if c <= threshold]
     entries, missing = [], []
@@ -707,7 +844,7 @@ def loop_scores(recs, discipline, params, dataset_year):
     scores, warnings = [], []
     for r in recs:
         T = dataset_year - r.submit_year
-        c = r.citations_through(dataset_year)
+        c = citations_through(r, dataset_year)
         if T < 1:
             warnings.append(f"{r.eprint_id}: not yet 1 year old in {dataset_year}, skipped")
         elif c < 1:
@@ -731,7 +868,7 @@ def reduction_cases(draw):
     )
     horizon = max(r.submit_year + len(r.yearly_citations) - 1 for r in records)
     corpus = CitationCorpus(records=records, retrieval_year=horizon)
-    discipline = draw(st.sampled_from(sorted(corpus.disciplines)))
+    discipline = draw(st.sampled_from(corpus.discipline_names))
     dataset_year = draw(st.integers(min(r.submit_year for r in records), horizon))
     cap = draw(st.sampled_from([0.3, 0.5, 0.75, 0.9, 1.0]))
     return corpus, discipline, dataset_year, cap, draw(st.integers(1, 10))
@@ -741,7 +878,7 @@ def reduction_cases(draw):
 def test_reductions_match_record_loops(case):
     corpus, discipline, dataset_year, cap, max_age = case
     recs = [r for r in corpus.records if discipline in r.disciplines]
-    threshold, n_below = loop_threshold([r.lifetime_citations for r in recs], cap)
+    threshold, n_below = loop_threshold([lifetime_citations(r) for r in recs], cap)
     assert percentile_summary(corpus, discipline, cap) == PercentileSummary(cap, threshold, n_below)
 
     if any(r.submit_year <= dataset_year for r in recs):
