@@ -29,7 +29,7 @@ from typing import Iterable, NamedTuple
 
 import numpy as np
 
-from ._csv import open_csv, write_csv
+from ._csv import create_csv, open_csv, row_formatter, write_csv
 from .errors import DataError, DomainError, SchemaError
 
 __all__ = [
@@ -790,16 +790,27 @@ def build_trend_subsets(corpus: CitationCorpus, discipline: str, first_year: int
 
 
 def write_long_csv(corpus: CitationCorpus, path) -> None:
-    """Write the corpus in long format, one row per (eprint, discipline, age)."""
+    """Write the corpus in long format, one row per (eprint, discipline, age).
+
+    Rows come in corpus order: eprint by eprint, each eprint's disciplines
+    by name, ages 0 to last. Each (eprint, discipline) pair is one write:
+    its `eprint_id,discipline,submit_year,` prefix, rendered once by
+    csv.writer so the text cells are quoted only where CSV needs it,
+    joined before each of the eprint's `age,count` cells. The bytes are
+    those of a csv.writer row loop.
+    """
     counts, offsets = corpus.counts.tolist(), corpus.offsets.tolist()
-    write_csv(path, LONG_CSV_COLUMNS, (
-        (eid, disc, year, age, counts[offsets[k] + age])
+    format_row = row_formatter()
+    with create_csv(path) as fh:
+        fh.write(format_row(LONG_CSV_COLUMNS))
         for k, (eid, tags, year) in enumerate(
             zip(corpus.ids, corpus._tag_lists(), corpus.submit_years.tolist())
-        )
-        for disc in tags
-        for age in range(offsets[k + 1] - offsets[k])
-    ))
+        ):
+            cells = [f"{age},{n}\n" for age, n in enumerate(counts[offsets[k]:offsets[k + 1]])]
+            for disc in tags:
+                # The empty last cell leaves the prefix's trailing comma.
+                prefix = format_row((eid, disc, year, ""))[:-1]
+                fh.write(prefix.join(["", *cells]))
 
 
 def write_panel_csv(panels: Iterable[AgePanel], path) -> None:

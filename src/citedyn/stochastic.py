@@ -41,7 +41,7 @@ from typing import Iterable, Iterator
 import numpy as np
 
 from . import distfit
-from ._csv import write_csv
+from ._csv import create_csv, write_csv
 from .errors import (
     ConvergenceError,
     DataError,
@@ -730,6 +730,10 @@ def write_ensemble_csv(
     (n_paths, n_steps + 1) matrix, sized from the first block's config,
     and reduced in strips of about STRIP_COLUMNS columns. Either layout
     is byte-identical however the ensemble is split into blocks.
+
+    The summary goes through csv.writer. The paths layout formats its own
+    rows, a path per write: its cells are ints and float reprs, which
+    csv.writer writes unquoted, so the bytes are those csv.writer writes.
     """
     if mode not in ("paths", "summary"):
         raise DomainError(f"mode must be 'paths' or 'summary', got {mode!r}")
@@ -739,7 +743,7 @@ def write_ensemble_csv(
         write_csv(path, ["t", "mean", "var", "q05", "q50", "q95"],
                   zip(grid.tolist(), *_summary_columns(paths).tolist()))
         return
-    with open(path, "w", newline="", encoding="utf-8") as fh:
+    with create_csv(path) as fh:
         fh.write("path_id,t,x\n")
         pid = 0
         for block in [ensemble] if single else ensemble:
@@ -750,12 +754,14 @@ def write_ensemble_csv(
 def _write_path_rows(fh, block: PathEnsemble, first_pid: int) -> int:
     """Write a block's `path_id,t,x` rows from first_pid on; returns the next id.
 
-    No cell of the layout needs csv quoting, so each path is joined as
-    text. Converting one path at a time bounds the Python floats.
+    No cell of the layout needs csv quoting, so each path's rows are one
+    %-template, its id joined in before the `,t,%r` cells, filled with the
+    path's floats in one call; `%r` is the float's repr. Converting one
+    path at a time bounds the Python floats.
     """
-    t_cells = [f",{t!r}," for t in block.grid.tolist()]
+    t_cells = [f",{t!r},%r\n" for t in block.grid.tolist()]
     for pid, row in enumerate(block.paths, first_pid):
-        fh.write("".join([f"{pid}{t}{x!r}\n" for t, x in zip(t_cells, row.tolist())]))
+        fh.write(f"{pid}".join(["", *t_cells]) % tuple(row.tolist()))
     return first_pid + block.paths.shape[0]
 
 

@@ -1,9 +1,11 @@
 """Corpus ingestion, percentile capping, and panel aggregation."""
 
 import csv
+import io
 import logging
 from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -427,6 +429,60 @@ def test_long_csv_round_trip_property(tmp_path_factory, inputs):
     path = tmp_path_factory.mktemp("round") / "corpus.csv"
     write_long_csv(original, path)
     assert load_corpus(path, "long-csv", retrieval_year=retrieval_year) == original
+
+
+def row_loop_long_csv(corpus):
+    """The long-csv echo as a csv.writer row loop writes it, one row at a time:
+    eprints in corpus order, each eprint's disciplines by name, ages 0 to last."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(corpus_mod.LONG_CSV_COLUMNS)
+    for r in corpus.records:
+        for disc in sorted(r.disciplines):
+            for age, n in enumerate(r.yearly_citations):
+                writer.writerow((r.eprint_id, disc, r.submit_year, age, n))
+    return buf.getvalue().encode("utf-8")
+
+
+# Cells csv must quote (',' '"' '\n'), and ones it must leave alone ('#',
+# inner spaces, non-ASCII text). Names stay valid: non-empty, stripped.
+_ECHO_CHARS = list('ab,"\n# \'éß中-')
+_echo_names = st.text(st.sampled_from(_ECHO_CHARS), min_size=1, max_size=5).filter(
+    lambda s: s == s.strip())
+
+
+@settings(max_examples=150)
+@given(st.lists(st.tuples(
+    _echo_names,
+    st.frozensets(_echo_names, min_size=1, max_size=3),
+    st.integers(corpus_mod.MIN_SUBMIT_YEAR, 2020),
+    st.lists(st.integers(0, 2**40), min_size=1, max_size=30),
+), min_size=1, max_size=6, unique_by=lambda f: f[0]))
+def test_echo_bytes_match_a_csv_writer_row_loop(tmp_path_factory, fields):
+    records = [EprintRecord(eid, tags, year, tuple(counts)) for eid, tags, year, counts in fields]
+    retrieval_year = max(r.submit_year + len(r.yearly_citations) - 1 for r in records)
+    original = CitationCorpus(records=records, retrieval_year=retrieval_year)
+    path = tmp_path_factory.mktemp("echo") / "corpus.csv"
+    write_long_csv(original, path)
+    assert path.read_bytes() == row_loop_long_csv(original)
+
+
+def test_echo_holds_less_than_it_writes(tmp_path, peak_bytes):
+    # A few thousand eprints of cross-listed cohorts; the first write in a
+    # process allocates once, so a small corpus warms the writer up.
+    rng = np.random.default_rng(5)
+    records = [
+        rec(f"{2000 + k % 20}.{k:05d}", 2000 + k % 20, rng.poisson(20.0, 20 - k % 20),
+            ("astro-ph", "hep")[: 1 + (k % 5 == 0)])
+        for k in range(5_000)
+    ]
+    corpus = CitationCorpus(records=records, retrieval_year=2019)
+    write_long_csv(CitationCorpus(records=records[:10], retrieval_year=2019), tmp_path / "warm.csv")
+    path = tmp_path / "echo.csv"
+    peak = peak_bytes(write_long_csv, corpus, path)
+    # Streamed a membership at a time; joining the whole text would hold
+    # at least the file.
+    assert peak < path.stat().st_size
 
 
 def load_logged(path):

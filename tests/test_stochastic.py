@@ -666,6 +666,36 @@ def test_paths_layout_holds_one_block_at_a_time(tmp_path, peak_bytes):
     assert peaks[1] < peaks[0] + block_bytes // 10
 
 
+def test_paths_layout_holds_less_than_it_writes(tmp_path, peak_bytes):
+    # As above, the one-time allocations of a first write are kept out.
+    config = SdeConfig(dt=0.1, horizon=20.0, n_paths=1, seed=1)
+    write_ensemble_csv(ensemble_blocks(ASTRO, VOL, config), tmp_path / "warm.csv")
+    config = dataclasses.replace(config, n_paths=4 * BLOCK_PATHS)
+    path = tmp_path / "paths.csv"
+    peak = peak_bytes(write_ensemble_csv, ensemble_blocks(ASTRO, VOL, config), path)
+    # Written a path at a time; joining the whole text would hold the file.
+    assert peak < path.stat().st_size
+
+
+def test_paths_layout_writes_extreme_floats_as_their_repr(tmp_path):
+    extremes = [-0.0, 5e-324, 1e-05, 1e16, 1.5e16, -2.5, -1e-300, math.nan, math.inf, -math.inf]
+    grid = np.array([0.0, 5e-324, 1e-05, 0.1, 1e16, 1.5e16])
+    config = SdeConfig(dt=0.5, horizon=2.5, n_paths=5, seed=1)
+    values = np.resize(np.array(extremes), (5, grid.size))
+    blocks = [PathEnsemble(grid=grid, paths=rows, params=ASTRO, vol=VOL, config=config,
+                           method="exact")
+              for rows in (values[:2], values[2:])]
+    path = tmp_path / "paths.csv"
+    write_ensemble_csv(iter(blocks), path)
+    # The second block's path ids continue from the first's.
+    expected = ["path_id,t,x"] + [
+        f"{pid},{t!r},{x!r}"
+        for pid, row in enumerate(values.tolist())
+        for t, x in zip(grid.tolist(), row)
+    ]
+    assert path.read_text(encoding="utf-8") == "\n".join(expected) + "\n"
+
+
 def test_summary_layout_holds_one_matrix(tmp_path, peak_bytes):
     # As above, the one-time allocations of a first write are kept out.
     config = SdeConfig(dt=0.02, horizon=10.0, n_paths=1, seed=1)
