@@ -296,8 +296,6 @@ def _cmd_ingest(args):
 def _cmd_fit_dist(args):
     corp = _load_corpus(args)
     members = corp.members(args.discipline)
-    if not members.size:
-        raise DataError(f"no eprints in discipline {args.discipline!r}")
     counts = corp.citation_totals(members, through=args.dataset_year)
     series = distfit.make_quantile_series(counts, exclude_zero=args.exclude_zero)
     payload = {
@@ -357,8 +355,7 @@ def _cmd_fit_history(args):
         year = args.dataset_year if args.dataset_year is not None else corp.retrieval_year
         cap = args.cap if args.cap is not None else DEFAULT_CAP
         panel = corpus.build_age_panel(corp, args.discipline, year, cap, args.max_age)
-    options = historyfit.FitOptions(weight_by_population=args.weighted)
-    fit = historyfit.fit_history(panel, options)
+    fit = historyfit.fit_history(panel, weighted=args.weighted)
     if not fit.converged:
         raise ConvergenceError(f"history fit for {args.discipline!r} did not converge")
     payload = _fit_payload(fit)
@@ -447,12 +444,7 @@ def _cmd_reckoner(args):
         # Fall back to the discipline recorded in the fit envelope, if any.
         label = str(fit.get("discipline", "") or "")
     reck = gamma.build_reckoner(params, c_levels, ages, discipline=label)
-    payload = {
-        "discipline": reck.discipline,
-        "c_levels": list(reck.c_levels),
-        "ages": list(reck.ages),
-        "matrix": [[v for v in row] for row in reck.matrix],
-    }
+    payload = dataclasses.asdict(reck)
     if args.csv:
         gamma.write_reckoner_csv(reck, args.csv)
         payload["csv"] = Path(args.csv).name
@@ -525,18 +517,16 @@ def _plot_extent(values, lo=None, hi=None):
     return lo, hi
 
 
-def emit_plot(series: Sequence[PlotSeries], style: str = "line", out=None):
-    """Render series to a minimal standalone SVG plus a sibling data CSV.
+def emit_plot(series: Sequence[PlotSeries], style: str = "line", *, out):
+    """Render series to a minimal standalone SVG at out plus a sibling data CSV.
 
     Each series is a (label, x, y, style) tuple; per-series style falls
     back to the style argument ("line" or "scatter"). The sibling CSV
     (same stem, .csv suffix) holds the plotted points in long form so any
-    external plotter can reproduce the figure.
+    external plotter can reproduce the figure. out is required.
     """
     if style not in ("line", "scatter"):
         raise UsageError(f"style must be 'line' or 'scatter', got {style!r}")
-    if out is None:
-        raise UsageError("emit_plot needs an output path")
     series = list(series)
     if not series:
         raise DataError("nothing to plot")

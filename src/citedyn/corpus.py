@@ -256,9 +256,14 @@ class CitationCorpus:
         )
 
     def members(self, discipline: str) -> np.ndarray:
-        """Indices of the eprints tagged with `discipline`, in corpus order."""
+        """Indices of the eprints tagged with `discipline`, in corpus order.
+
+        Every discipline the corpus names tags at least one eprint, so the
+        result is never empty; a name the corpus does not hold raises
+        DataError.
+        """
         if discipline not in self.discipline_names:
-            return np.empty(0, dtype=np.int64)
+            raise DataError(f"no eprints in discipline {discipline!r}")
         code = self.discipline_names.index(discipline)
         return self.member_eprints[self.member_disciplines == code]
 
@@ -769,8 +774,6 @@ def percentile_summary(corpus: CitationCorpus, discipline: str, p: float) -> Per
     if not 0.0 < p <= 1.0:
         raise DomainError(f"percentile must lie in (0, 1], got {p}")
     members = corpus.members(discipline)
-    if not members.size:
-        raise DataError(f"no eprints in discipline {discipline!r}")
     threshold, n_below = _threshold_scan(corpus.citation_totals(members), p)
     return PercentileSummary(p=p, threshold=threshold, n_below=n_below)
 

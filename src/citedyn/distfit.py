@@ -143,10 +143,6 @@ class QuantileSeries:
         if np.any(np.diff(y) < 0.0):
             raise DataError("points must be sorted by y")
 
-    @property
-    def points(self) -> list[tuple[float, float]]:
-        return list(zip(self.y.tolist(), self.q.tolist()))
-
     def __len__(self) -> int:
         return self.y.size
 

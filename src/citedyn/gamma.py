@@ -132,8 +132,6 @@ def score_eprints(
     raises DomainError, as CitationCorpus.citation_totals does.
     """
     members = corpus.members(discipline)
-    if not members.size:
-        raise DataError(f"no eprints in discipline {discipline!r}")
     ages = (dataset_year - corpus.submit_years[members]).tolist()
     totals = corpus.citation_totals(members, through=dataset_year).tolist()
     usable = []
@@ -452,24 +450,11 @@ def write_scores_csv(
     ))
 
 
-def write_reckoner_csv(reckoners, path) -> None:
-    """One row per (discipline, citation level); masked cells left empty.
-
-    Accepts a single reckoner or a sequence sharing the same age columns.
-    """
-    if isinstance(reckoners, ReadyReckoner):
-        reckoners = [reckoners]
-    reckoners = list(reckoners)
-    if not reckoners:
-        raise DataError("nothing to write")
-    ages = reckoners[0].ages
-    for r in reckoners[1:]:
-        if r.ages != ages:
-            raise DataError("reckoners disagree on age columns")
-    write_csv(path, ["discipline", "c"] + [f"T={_trim(a)}" for a in ages], (
-        [r.discipline, _trim(c)] + ["" if g is None else f"{g:.2f}" for g in row]
-        for r in reckoners
-        for c, row in zip(r.c_levels, r.matrix)
+def write_reckoner_csv(reckoner: ReadyReckoner, path) -> None:
+    """One row per citation level of one reckoner; masked cells left empty."""
+    write_csv(path, ["discipline", "c"] + [f"T={_trim(a)}" for a in reckoner.ages], (
+        [reckoner.discipline, _trim(c)] + ["" if g is None else f"{g:.2f}" for g in row]
+        for c, row in zip(reckoner.c_levels, reckoner.matrix)
     ))
 
 

@@ -64,7 +64,6 @@ __all__ = [
     "HistoryParams",
     "HistoryFit",
     "FitDiagnostics",
-    "FitOptions",
     "DerivedMetrics",
     "CumulativeSplit",
     "TrendPoint",
@@ -255,13 +254,6 @@ def eval_history(params: HistoryParams, t):
 
 
 @dataclass(frozen=True)
-class FitOptions:
-    """Knobs for fit_history; the default is the unweighted regression."""
-
-    weight_by_population: bool = False
-
-
-@dataclass(frozen=True)
 class FitDiagnostics:
     """What the multi-start search did. No wall time, so it is deterministic.
 
@@ -409,7 +401,7 @@ def least_squares(*args, **kwargs):
     return least_squares(*args, **kwargs)
 
 
-def fit_history(panel: AgePanel, options: FitOptions | None = None) -> HistoryFit:
+def fit_history(panel: AgePanel, weighted: bool = False) -> HistoryFit:
     """Least-squares fit of the history model to an age panel.
 
     Runs a multi-start local optimization (trust-region least squares with
@@ -420,14 +412,15 @@ def fit_history(panel: AgePanel, options: FitOptions | None = None) -> HistoryFi
     earlier start that succeeded or joined (see _Search).
     The best start by residual cost among those not stopped wins;
     converged is False when it did not satisfy the optimizer's tolerances.
-    The result's diagnostics record what every start did.
+    The result's diagnostics record what every start did. With weighted,
+    each age's residual is weighted by the square root of its population n;
+    the default is the unweighted regression.
 
     Raises:
         InsufficientDataError: fewer than 6 usable ages.
         DegenerateDataError: all-zero response.
         ConvergenceError: every start was abandoned or failed.
     """
-    opts = options or FitOptions()
     t = np.array([e.t for e in panel.entries], dtype=float)
     u = np.array([e.u for e in panel.entries], dtype=float)
     if t.size < N_PARAMS + 1:
@@ -437,7 +430,7 @@ def fit_history(panel: AgePanel, options: FitOptions | None = None) -> HistoryFi
     if not np.any(u > 0):
         raise DegenerateDataError("panel response is identically zero")
 
-    if opts.weight_by_population:
+    if weighted:
         w = np.sqrt(np.array([e.n for e in panel.entries], dtype=float))
     else:
         w = np.ones_like(u)

@@ -429,6 +429,20 @@ def test_fit_history_from_long_csv(tmp_path):
     assert payload["converged"]
 
 
+def test_fit_history_weighted_fits_the_population_weighted_regression(tmp_path):
+    path, out = SAMPLES / "corpus.csv", tmp_path / "r.json"
+    argv = ["fit-history", "--input", str(path), "--discipline", "astro-ph", "--weighted",
+            "--out", str(out)]
+    assert run_command(argv) == 0
+    payload = read_envelope(out)["payload"]
+    corp = corpus.load_corpus(path, "long-csv")
+    panel = corpus.build_age_panel(corp, "astro-ph", corp.retrieval_year,
+                                   cli.DEFAULT_CAP, cli.DEFAULT_MAX_AGE)
+    weighted = historyfit.fit_history(panel, weighted=True)
+    assert payload["params"] == weighted.params.to_dict()
+    assert payload["params"] != historyfit.fit_history(panel).params.to_dict()
+
+
 # --- metrics / reckoner --------------------------------------------------------------
 
 

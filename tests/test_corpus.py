@@ -190,7 +190,8 @@ def test_corpus_discipline_lookup():
     assert c.discipline_names == ("astro-ph", "hep")
     assert [c.ids[k] for k in c.members("astro-ph").tolist()] == ["a"]
     assert c.members("hep").tolist() == [0, 1]
-    assert c.members("math").tolist() == []
+    with pytest.raises(DataError, match="no eprints in discipline 'math'"):
+        c.members("math")
 
 
 # --- long-csv ingestion --------------------------------------------------------

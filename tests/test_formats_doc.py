@@ -3,12 +3,13 @@
 Each column table in the format reference is parsed and compared with
 the header row its writer emits, so the documented schemas cannot drift
 from the code, and every file is checked against the CSV conventions
-the reference states.
+the reference states. The README's library example is run as written.
 """
 
 import codecs
 import csv
 import json
+import logging
 import re
 from pathlib import Path
 
@@ -154,3 +155,21 @@ def test_matches_reads_templated_columns():
     assert not matches(["discipline", "c", "T=<age>"], ["discipline", "c"])
     assert not matches(["discipline", "c", "T=<age>"], ["discipline", "c", "Q"])
     assert not matches(["t", "x"], ["t", "x", "Q"])
+
+
+def test_readme_library_example_runs(caplog):
+    readme = (DOCS.parent / "README.md").read_text(encoding="utf-8")
+    block = readme.split("## Library use\n", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]
+    assert block.count('"corpus.csv"') == 1
+    names = {}
+    with caplog.at_level(logging.WARNING, logger="citedyn"):
+        exec(compile(block.replace('"corpus.csv"', repr(CORPUS)), "README.md", "exec"), names)
+    # The sample corpus's earliest eprint was submitted in 2014, so the
+    # 2019 panel observes no eprint past age 5.
+    assert [r.getMessage() for r in caplog.records] == [
+        "panel astro-ph/2019: no eprints observable at ages "
+        f"{list(range(6, 21))}"
+    ]
+    assert names["fit"].converged
+    assert len(names["stars"]) == 4 and names["skipped"] == []
+    assert names["counts"].shape == (10_000,)

@@ -21,7 +21,6 @@ from citedyn.errors import (
 )
 from citedyn.historyfit import (
     FitDiagnostics,
-    FitOptions,
     HistoryFit,
     HistoryParams,
     cumulative_split,
@@ -237,7 +236,7 @@ def test_noisy_round_trip():
 
 def test_population_weighting_option():
     panel = make_panel(ASTRO)
-    fit = fit_history(panel, FitOptions(weight_by_population=True))
+    fit = fit_history(panel, weighted=True)
     assert fit.params.A == pytest.approx(ASTRO.A, rel=0.01)
 
 
