@@ -12,15 +12,18 @@ Both file formats take an integer cell exactly when it follows int()'s
 grammar and fits in int64. `_reread_rows` states the long-csv row rules
 in the order they are checked; a load reports the earliest faulty row,
 and within it the first rule listed. numpy's C reader parses a long-csv
-file in one chunked pass and `_faulty` only detects a fault; a file that
-reader refuses, or that has a fault, is read again by `_reread_rows`.
+file in one chunked pass and hands its columns to `_assemble`, which
+builds the corpus columns by scatter writes and checks every row against
+what it wrote. A file that reader refuses, or that has a faulty row, is
+read again by `_reread_rows`, which names the row or hands its own
+columns to `_assemble`.
 
 A long-csv load holds the strings of one chunk of rows at a time, and
 each data row once, in compact columns: int32 codes for the id and the
 discipline, an int32 year and age and an int64 count, 24 bytes in all.
-Every whole-file temporary is freed once it is used. The traced peak of
-a load is about 48 bytes per data row on a 244,000-row file and 70 on a
-65,000-row one, where one chunk's strings weigh more.
+Each column is freed once it is used. The traced peak of a load is about
+45 bytes per data row on a 246,000-row file and 70 on a 65,000-row one,
+where one chunk's strings weigh more.
 """
 
 from __future__ import annotations
@@ -373,11 +376,12 @@ def load_corpus(path, format: str, retrieval_year: int | None = None):
 
 
 class _Codes:
-    """Integer codes for strings, numbered in order of first appearance.
+    """Integer codes for strings, numbered in sorted order of the stripped strings.
 
     Surrounding whitespace is stripped, so strings that strip alike share
-    a code, numbered where the first of them appears. Codes are int32
-    while the table fits them, so a row's code takes four bytes.
+    a code. `add` numbers each new name where it first appears; `result`
+    renumbers the codes by sorted name. Codes are int32 while the table
+    fits them, so a row's code takes four bytes.
     """
 
     def __init__(self):
@@ -409,7 +413,14 @@ class _Codes:
         self._parts.append(head_codes[np.cumsum(heads) - 1])
 
     def result(self) -> tuple[np.ndarray, list[str]]:
-        return _join(self._parts), self._names
+        """Every code added, in order, as a position in the sorted table; and
+        that table. The parts are renumbered one at a time, then joined."""
+        order = sorted(range(len(self._names)), key=self._names.__getitem__)
+        rank = np.empty(len(order), np.int32 if len(order) <= _INT32.max else np.int64)
+        rank[order] = np.arange(len(order))
+        for i, part in enumerate(self._parts):
+            self._parts[i] = rank[part]
+        return _join(self._parts), [self._names[k] for k in order]
 
 
 def _join(parts: list[np.ndarray]) -> np.ndarray:
@@ -419,25 +430,9 @@ def _join(parts: list[np.ndarray]) -> np.ndarray:
     return joined
 
 
-class _Rows(NamedTuple):
-    """A long-csv file's data rows as columns, in file order.
-
-    ids and discs are codes into id_table and disc_table, numbered in
-    order of first appearance. `_read_rows` holds years and ages as int32,
-    `_reread_rows` as int64.
-    """
-
-    ids: np.ndarray
-    id_table: list[str]
-    discs: np.ndarray
-    disc_table: list[str]
-    years: np.ndarray
-    ages: np.ndarray
-    counts: np.ndarray
-
-
-def _read_rows(fh, columns) -> _Rows:
-    """Data rows through numpy's C reader; ValueError if it refuses one.
+def _read_rows(fh, columns) -> dict | None:
+    """`_assemble` of the data rows through numpy's C reader; ValueError if
+    that reader refuses one.
 
     fh is positioned after the header and read once, _CHUNK_ROWS rows at a
     time. Each chunk's strings are coded and its integers copied out, one
@@ -466,7 +461,7 @@ def _read_rows(fh, columns) -> _Rows:
         counts.append(chunk["ints"][:, 2].copy())
         n_read = len(chunk)
         del chunk, dates  # before the next chunk is read
-    return _Rows(*ids.result(), *discs.result(), _join(years), _join(ages), _join(counts))
+    return _assemble(ids, discs, _join(years), _join(ages), _join(counts))
 
 
 def _int64_cell(value, column: str) -> int:
@@ -479,8 +474,9 @@ def _int64_cell(value, column: str) -> int:
     return number
 
 
-def _reread_rows(path, columns, width: int) -> _Rows:
-    """Data rows through csv.reader and int(), checked in file order.
+def _reread_rows(path, columns, width: int) -> dict:
+    """`_assemble` of the data rows through csv.reader and int(), checked in
+    file order.
 
     A row is faulty, by the first of these rules it breaks, if: its
     eprint_id or discipline is empty (after stripping, as they are
@@ -536,8 +532,7 @@ def _reread_rows(path, columns, width: int) -> _Rows:
     id_codes, disc_codes = _Codes(), _Codes()
     id_codes.add(ids)
     disc_codes.add(discs)
-    return _Rows(*id_codes.result(), *disc_codes.result(),
-                 *np.array(ints, dtype=np.int64).reshape(-1, 3).T)
+    return _assemble(id_codes, disc_codes, *np.array(ints, dtype=np.int64).reshape(-1, 3).T)
 
 
 def _first(mask: np.ndarray) -> int | None:
@@ -580,14 +575,6 @@ def _int64s(values, what: str, owner) -> np.ndarray:
     return array.astype(np.int64)
 
 
-def _sort_table(table: list[str]) -> tuple[np.ndarray, np.ndarray]:
-    """The codes of `table` in sorted order, and each code's sorted position."""
-    perm = np.array(sorted(range(len(table)), key=table.__getitem__), dtype=np.int64)
-    rank = np.empty_like(perm)
-    rank[perm] = np.arange(len(perm))
-    return perm, rank
-
-
 def _memberships(eprints, disciplines, n_disciplines: int) -> dict[str, np.ndarray]:
     """The distinct (eprint, discipline) pairs among the given ones, sorted.
 
@@ -602,39 +589,70 @@ def _memberships(eprints, disciplines, n_disciplines: int) -> dict[str, np.ndarr
     return {"member_eprints": pairs // width, "member_disciplines": pairs % width}
 
 
-def _order(rows: _Rows) -> np.ndarray:
-    """The rows sorted by (eprint, age, discipline); ties keep file order."""
-    return np.lexsort((rows.discs, rows.ages, rows.ids))
+def _assemble(id_codes: _Codes, disc_codes: _Codes, years, ages, row_counts) -> dict | None:
+    """The corpus columns, all but retrieval_year, of a long-csv file's data
+    rows in any order; None if a row breaks a rule of `_reread_rows`.
 
-
-def _faulty(rows: _Rows, order: np.ndarray) -> bool:
-    """Whether any row breaks a rule of _reread_rows, which then names it.
-
-    Every integer cell numpy parsed is an int64 by int()'s grammar, and
-    `_read_rows` passed only years and ages in [0, MAX_YEAR], so the other
-    rules remain, one mask each. In `order` the rows of an eprint, and of
-    an (eprint, age) pair, are neighbours, so a conflict or a repeat shows
-    between two neighbouring rows. Columns are put in order one at a time.
+    Every integer is an int64 by int()'s grammar, with years and ages in
+    [0, MAX_YEAR] and of one dtype, which keeps np.maximum.at on numpy's
+    fast path; the other rules are checked here. Codes number the sorted
+    names, so eprint k is id code k and discipline d is discipline code d.
+    Each row writes its submit_year to its eprint and its count to its
+    eprint's slot for its age, and must read both back. Each column is
+    deleted once it is used, and the zero-fill warnings are logged only
+    once every row has passed.
     """
-    if ("" in rows.id_table or "" in rows.disc_table
-            or (rows.counts < 0).any()
-            or (rows.years < MIN_SUBMIT_YEAR).any()
-            or (rows.ages > MAX_YEAR - rows.years).any()):
-        return True
+    ids, id_table = id_codes.result()
+    discs, disc_table = disc_codes.result()
+    if ("" in id_table or "" in disc_table or (row_counts < 0).any()
+            or (years < MIN_SUBMIT_YEAR).any() or (ages > MAX_YEAR - years).any()):
+        return None
 
-    def steps(column):  # whether each row in order differs from the one before
-        ordered = column[order]
-        return ordered[1:] != ordered[:-1]
+    # Eprint k's counts fill slots offsets[k] to offsets[k + 1] - 1, one per
+    # age up to its last.
+    last_ages = np.zeros(len(id_table), ages.dtype)
+    np.maximum.at(last_ages, ids, ages)
+    offsets = np.concatenate(([0], np.cumsum(last_ages + 1, dtype=np.int64)))
+    del last_ages
+    slots = offsets[ids]
+    slots += ages
+    del ages
 
-    same_eprint = ~steps(rows.ids)
-    if (same_eprint & steps(rows.years)).any():
-        return True
-    # Each row in order that repeats the (eprint, age) of the row before.
-    repeats = np.flatnonzero(same_eprint & ~steps(rows.ages))
-    del same_eprint
-    first, second = order[repeats], order[repeats + 1]
-    return bool((rows.discs[first] == rows.discs[second]).any()
-                or (rows.counts[first] != rows.counts[second]).any())
+    submit_years = np.zeros(len(id_table), years.dtype)
+    submit_years[ids] = years
+    if (submit_years[ids] != years).any():  # an eprint's rows disagree on its year
+        return None
+    del years
+
+    # A row repeats an (eprint_id, discipline, age) when its (slot,
+    # discipline) key repeats. Keys below offsets[-1] * len(disc_table) are
+    # int64; past that range, they are Python ints.
+    width = len(disc_table)
+    keys = slots.astype(np.int64 if int(offsets[-1]) * width <= _INT64.max else object)
+    keys *= width
+    keys += discs
+    keys.sort()
+    if (keys[1:] == keys[:-1]).any():
+        return None
+    del keys
+    memberships = _memberships(ids, discs, width)
+    del ids, discs
+
+    counts = np.zeros(offsets[-1], dtype=np.int64)
+    counts[slots] = row_counts
+    if (counts[slots] != row_counts).any():  # two rows of an (eprint, age) disagree
+        return None
+    del row_counts
+
+    present = np.zeros(len(counts), dtype=bool)
+    present[slots] = True
+    del slots
+    gapped = np.unique(np.searchsorted(offsets, np.flatnonzero(~present), side="right") - 1)
+    for k in gapped.tolist():
+        gaps = np.flatnonzero(~present[offsets[k]:offsets[k + 1]]).tolist()
+        log.warning("eprint %s: ages %s absent from file, zero-filled", id_table[k], gaps)
+    return dict(ids=tuple(id_table), submit_years=submit_years, offsets=offsets, counts=counts,
+                discipline_names=tuple(disc_table), **memberships)
 
 
 def _load_long_csv(path, retrieval_year: int | None) -> CitationCorpus:
@@ -645,74 +663,17 @@ def _load_long_csv(path, retrieval_year: int | None) -> CitationCorpus:
         index = {name: i for i, name in enumerate(header)}
         columns = [index[c] for c in LONG_CSV_COLUMNS]
         try:
-            rows = _read_rows(fh, columns)
+            assembled = _read_rows(fh, columns)
         except ValueError:
-            rows = None
-    order = None if rows is None else _order(rows)
-    if rows is None or _faulty(rows, order):
-        rows = _reread_rows(path, columns, len(header))
-        order = _order(rows)
-    if not len(rows.ids):
+            assembled = None
+    if assembled is None:  # numpy's reader refused a row, or a row breaks a rule
+        assembled = _reread_rows(path, columns, len(header))
+    if not assembled["ids"]:
         raise DataError(f"{path}: no data rows")
-
-    # Each whole-file temporary is deleted once used; years and ages are
-    # widened to int64 before arithmetic that could overflow int32.
-    ids, id_table, discs, disc_table, years, ages, row_counts = rows
-    del rows
-
-    # Eprints are ordered by id. Per id code: the highest age is on the
-    # last of its sorted rows, every row holds its submit_year, and each
-    # new (id, age) pair in order gives one count its slot.
-    perm, rank = _sort_table(id_table)
-    sorted_ids = ids[order]
-    new_pair = np.ones(len(ids), dtype=bool)
-    new_pair[1:] = sorted_ids[1:] != sorted_ids[:-1]
-    del sorted_ids
-    last_sorted = np.flatnonzero(np.append(new_pair[1:], True))
-    sorted_ages = ages[order]
-    new_pair[1:] |= sorted_ages[1:] != sorted_ages[:-1]
-    lengths = sorted_ages[last_sorted][perm].astype(np.int64) + 1
-    del sorted_ages
-    offsets = np.concatenate(([0], np.cumsum(lengths)))
-    submit_years = years[order[last_sorted]][perm].astype(np.int64)
-    del years
-    pair_rows = order[new_pair]
-    del order, new_pair
-    slots = offsets[rank][ids[pair_rows]]  # where each id code's counts start
-    slots += ages[pair_rows]
-    del ages
-    pair_counts = row_counts[pair_rows]
-    del row_counts, pair_rows
-    counts = np.zeros(offsets[-1], dtype=np.int64)
-    counts[slots] = pair_counts
-    del pair_counts
-
-    sorted_id_table = [id_table[k] for k in perm.tolist()]
-    if len(slots) < len(counts):  # an eprint lacks an age
-        present = np.zeros(len(counts), dtype=bool)
-        present[slots] = True
-        gapped = np.unique(np.searchsorted(offsets, np.flatnonzero(~present), side="right") - 1)
-        for k in gapped.tolist():
-            gaps = np.flatnonzero(~present[offsets[k]:offsets[k + 1]]).tolist()
-            log.warning("eprint %s: ages %s absent from file, zero-filled", sorted_id_table[k], gaps)
-        del present
-    del slots
-
-    disc_perm, disc_rank = _sort_table(disc_table)
-    memberships = _memberships(rank[ids], disc_rank[discs], len(disc_perm))
-    del ids, discs
-
     if retrieval_year is None:
-        retrieval_year = int((submit_years + lengths - 1).max())
-    return CitationCorpus._from_columns(
-        ids=tuple(sorted_id_table),
-        submit_years=submit_years,
-        offsets=offsets,
-        counts=counts,
-        discipline_names=tuple(disc_table[k] for k in disc_perm.tolist()),
-        **memberships,
-        retrieval_year=retrieval_year,
-    )
+        last_ages = np.diff(assembled["offsets"]) - 1
+        retrieval_year = int((assembled["submit_years"] + last_ages).max())
+    return CitationCorpus._from_columns(**assembled, retrieval_year=retrieval_year)
 
 
 def _load_panel_csv(path) -> list[AgePanel]:

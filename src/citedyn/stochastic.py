@@ -23,9 +23,9 @@ consumers that need only per-path totals, a few time columns or one path
 at a time (the `simulate` count summary, verify_ensemble, the per-path
 CSV dump). Inside a block, the sampler and count_citations work in tiles
 of TILE_ROWS paths: each tile's normals are drawn into one reused buffer
-and exponentiated straight into the block's rows, and each tile's
-trapezoid terms go to one reused buffer, so no temporary is as large as
-the block. Every operation works row by row, so any range of paths, in
+and exponentiated straight into the block's rows, and numpy's trapezoid
+rule is taken a tile at a time, so no temporary is as large as the
+block. Every operation works row by row, so any range of paths, in
 any split into blocks or tiles, reproduces the matching rows of the full
 ensemble. The kernel is serial; `threads` and CITEDYN_THREADS are
 validated but no longer change the work.
@@ -172,7 +172,7 @@ def fit_volatility(m_series) -> VolatilityFit:
 
     Raises:
         InsufficientDataError: fewer than 3 points.
-        DataError: non-positive ages or spreads.
+        DataError: ages or spreads that are not positive and finite.
         ConvergenceError: polish failed or s1 ran out of the
             identifiable window.
     """
@@ -181,10 +181,10 @@ def fit_volatility(m_series) -> VolatilityFit:
         raise InsufficientDataError(f"need at least 3 points, got {len(pairs)}")
     t = np.array([p[0] for p in pairs])
     m = np.array([p[1] for p in pairs])
-    if np.any(t <= 0):
-        raise DataError("spread series ages must be positive")
-    if np.any(m <= 0):
-        raise DataError("spreads must be positive")
+    if not np.all(np.isfinite(t) & (t > 0)):
+        raise DataError("spread series ages must be positive and finite")
+    if not np.all(np.isfinite(m) & (m > 0)):
+        raise DataError("spreads must be positive and finite")
 
     m2 = m * m
     best = None
@@ -472,23 +472,12 @@ def count_citations(ensemble: PathEnsemble, mode: str | None = None) -> np.ndarr
 
 
 def _row_integrals(paths: np.ndarray, grid: np.ndarray) -> np.ndarray:
-    """np.trapezoid(paths, grid, axis=1), bit for bit, without its temporaries.
-
-    numpy sums d * (y[:, 1:] + y[:, :-1]) / 2.0 along each row; the same
-    expression is evaluated here TILE_ROWS rows at a time into one reused
-    buffer, whose rows are summed exactly as numpy sums a row of its own.
-    """
-    d = np.diff(grid)
-    rows = paths.shape[0]
-    totals = np.empty(rows)
-    buf = np.empty((min(TILE_ROWS, rows), d.size))
-    for lo in range(0, rows, TILE_ROWS):
-        tile = paths[lo : lo + TILE_ROWS]
-        terms = buf[: tile.shape[0]]
-        np.add(tile[:, 1:], tile[:, :-1], out=terms)
-        np.multiply(d, terms, out=terms)
-        np.divide(terms, 2.0, out=terms)
-        terms.sum(axis=1, out=totals[lo : lo + tile.shape[0]])
+    """np.trapezoid(paths, grid, axis=1), taken TILE_ROWS rows at a time so
+    that no temporary is as large as `paths`. numpy sums a row in a tile
+    exactly as it sums that row of the whole matrix."""
+    totals = np.empty(len(paths))
+    for lo in range(0, len(paths), TILE_ROWS):
+        totals[lo : lo + TILE_ROWS] = np.trapezoid(paths[lo : lo + TILE_ROWS], grid, axis=1)
     return totals
 
 

@@ -1053,6 +1053,26 @@ def test_exit_code_for_convergence_failure(tmp_path, params_json):
     assert code == 3
 
 
+@pytest.mark.parametrize("command", ["simulate", "verify"])
+@pytest.mark.parametrize("rows, message", [
+    ("1,0.5\n2,nan\n3,0.8\n", "spreads must be positive and finite"),
+    ("1,0.5\n2,0.7\ninf,0.8\n", "spread series ages must be positive and finite"),
+], ids=["nan-spread", "inf-age"])
+def test_non_finite_vol_series_is_a_data_error(tmp_path, params_json, capsys, command, rows, message):
+    series, out = tmp_path / "vol_series.csv", tmp_path / "r.json"
+    series.write_text("t,m\n" + rows)
+    code = run_command(
+        [command, "--fit", str(params_json), "--vol-series", str(series)]
+        + SIM_ARGS
+        + ["--out", str(out)]
+    )
+    assert code == 2
+    err = capsys.readouterr().err
+    assert f"error: {message}\n" in err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
 def test_help_and_version_exit_cleanly(capsys):
     assert run_command(["--help"]) == 0
     assert run_command(["--version"]) == 0

@@ -366,6 +366,23 @@ def test_long_csv_repeated_column_reads_last(tmp_path):
     assert load_corpus(path, "long-csv").records[0].yearly_citations == (0, 4)
 
 
+def test_long_csv_orders_eprints_by_stripped_id(tmp_path):
+    # " b" sorts before "a" as read and after it once stripped; eprints and
+    # their codes follow the stripped order, which " b " shares.
+    path = tmp_path / "padded.csv"
+    path.write_text(f"{HEADER}\n b,x,2018,0,5\n b,x,2018,1,6\na,x,2019,0,1\n b ,y,2018,1,6\n",
+                    encoding="utf-8")
+    loaded = load_corpus(path, "long-csv")
+    assert loaded.ids == ("a", "b")
+    assert loaded.discipline_names == ("x", "y")
+    assert loaded.counts.tolist() == [1, 5, 6]
+    assert loaded.offsets.tolist() == [0, 1, 3]
+    assert loaded.submit_years.tolist() == [2019, 2018]
+    assert loaded.member_eprints.tolist() == [0, 1, 1]
+    assert loaded.member_disciplines.tolist() == [0, 0, 1]
+    assert loaded.retrieval_year == 2019
+
+
 _ID_CHARS = list('ab1,"\'.-/')
 # What an echo must carry through, or the constructor refuse: padding,
 # line breaks and a bare carriage return.
@@ -767,34 +784,35 @@ def test_long_csv_extreme_integers_match_sequential_pass(tmp_path_factory, rows,
 
 
 def test_codes_widen_to_int64_when_the_table_outgrows_int32(monkeypatch):
-    # int32 codes impose no limit on a file: a chunk that would pass int32's
-    # range gets int64 codes, and the earlier parts widen to join them.
+    # int32 codes impose no limit on a file: a table that outgrows int32's
+    # range numbers every code, earlier parts too, as an int64 position in
+    # the sorted table.
     monkeypatch.setattr(corpus_mod, "_INT32", np.iinfo(np.int8))
     codes = corpus_mod._Codes()
     codes.add([f"e{k}" for k in range(100)])
     codes.add([f" e{k}" for k in range(50, 200)])
     joined, table = codes.result()
     assert joined.dtype == np.int64
-    assert joined.tolist() == [*range(100), *range(50, 200)]
-    assert table == [f"e{k}" for k in range(200)]
+    assert table == sorted(f"e{k}" for k in range(200))
+    assert joined.tolist() == [table.index(f"e{k}") for k in (*range(100), *range(50, 200))]
 
 
 def test_long_csv_is_read_over_one_handle(tmp_path, monkeypatch):
-    # A valid file numpy's reader takes is opened once and sorted once; one
-    # it refuses, or one with a faulty row, is opened once more.
+    # A valid file numpy's reader takes is opened once and assembled once;
+    # one it refuses, or one with a faulty row, is opened once more.
     opened, open_csv = [], corpus_mod.open_csv
-    sorts, lexsort = [], corpus_mod.np.lexsort
+    assembled, assemble = [], corpus_mod._assemble
 
     def open_counted(path):
         opened.append(path)
         return open_csv(path)
 
-    def lexsort_counted(keys):
-        sorts.append(opened[-1])
-        return lexsort(keys)
+    def assemble_counted(*columns):
+        assembled.append(opened[-1])
+        return assemble(*columns)
 
     monkeypatch.setattr(corpus_mod, "open_csv", open_counted)
-    monkeypatch.setattr(corpus_mod.np, "lexsort", lexsort_counted)
+    monkeypatch.setattr(corpus_mod, "_assemble", assemble_counted)
     good, odd, dup = tmp_path / "good.csv", tmp_path / "odd.csv", tmp_path / "dup.csv"
     good.write_text(f"{HEADER}\na,x,2015,0,1\n", encoding="utf-8")
     odd.write_text(f"{HEADER}\na,x,2_015,0,1\n", encoding="utf-8")
@@ -804,7 +822,7 @@ def test_long_csv_is_read_over_one_handle(tmp_path, monkeypatch):
         load_corpus(dup, "long-csv")
     assert str(err.value) == "row 3: duplicate (eprint_id, discipline, age) = ('a', 'x', 0)"
     assert opened == [good, odd, odd, dup, dup]
-    assert sorts == [good, odd, dup]
+    assert assembled == [good, odd, dup]
 
 
 def test_unknown_format_rejected(tmp_path):

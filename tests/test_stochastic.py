@@ -115,6 +115,11 @@ def test_fit_volatility_errors():
         fit_volatility([(0.0, 0.5), (2, 0.7), (3, 0.8)])
     with pytest.raises(DataError):
         fit_volatility([(1, 0.5), (2, -0.7), (3, 0.8)])
+    for bad in (math.nan, math.inf):
+        with pytest.raises(DataError, match="ages must be positive and finite"):
+            fit_volatility([(1, 0.5), (2, 0.7), (bad, 0.8)])
+        with pytest.raises(DataError, match="spreads must be positive and finite"):
+            fit_volatility([(1, 0.5), (2, bad), (3, 0.8)])
     with pytest.raises(ConvergenceError):
         fit_volatility([(1, 1.0), (2, 0.7), (3, 0.5), (4, 0.4)])
 
