@@ -151,43 +151,39 @@ def _load_json(path) -> dict:
     return data
 
 
-def _payload(data: dict) -> dict:
-    """A result envelope's payload object, or data itself when it is bare."""
-    payload = data.get("payload")
-    return payload if isinstance(payload, dict) else data
+def _inner(data: dict, key: str) -> dict:
+    """data[key] when it is a nested object, or data itself when it is bare."""
+    inner = data.get(key)
+    return inner if isinstance(inner, dict) else data
 
 
 def _load_fit(path) -> tuple[historyfit.HistoryParams, dict]:
     """History parameters from a fit envelope or a bare parameter object,
     and the payload they were read from."""
-    payload = _payload(_load_json(path))
-    candidate = payload["params"] if isinstance(payload.get("params"), dict) else payload
+    payload = _inner(_load_json(path), "payload")
     try:
-        return historyfit.HistoryParams.from_dict(candidate), payload
+        return historyfit.HistoryParams.from_dict(_inner(payload, "params")), payload
     except (KeyError, TypeError, ValueError) as exc:
         raise DataError(f"{path}: no usable history parameters ({exc})")
 
 
-def _load_vol(args) -> tuple[stochastic.VolatilityFit, list]:
+def _load_vol(args) -> stochastic.VolatilityFit:
     """Volatility from --vol JSON, --vol-series CSV, or --s1/--s2."""
     sources = [args.vol is not None, args.vol_series is not None,
                args.s1 is not None or args.s2 is not None]
     if sum(sources) != 1:
         raise UsageError("give exactly one of --vol, --vol-series, or --s1/--s2")
     if args.vol is not None:
-        candidate = _payload(_load_json(args.vol))
-        if isinstance(candidate.get("vol"), dict):
-            candidate = candidate["vol"]
+        candidate = _inner(_inner(_load_json(args.vol), "payload"), "vol")
         try:
-            return stochastic.VolatilityFit.from_dict(candidate), [args.vol]
+            return stochastic.VolatilityFit.from_dict(candidate)
         except (KeyError, TypeError, ValueError) as exc:
             raise DataError(f"{args.vol}: no usable volatility parameters ({exc})")
     if args.vol_series is not None:
-        pairs = _read_vol_series(args.vol_series)
-        return stochastic.fit_volatility(pairs), [args.vol_series]
+        return stochastic.fit_volatility(_read_vol_series(args.vol_series))
     if args.s1 is None or args.s2 is None:
         raise UsageError("--s1 and --s2 must be given together")
-    return stochastic.volatility(args.s1, args.s2), []
+    return stochastic.volatility(args.s1, args.s2)
 
 
 def _read_vol_series(path) -> list[tuple[float, float]]:
@@ -235,18 +231,22 @@ def _fit_payload(fit: historyfit.HistoryFit) -> dict:
     }
 
 
-def _sde_config(args) -> stochastic.SdeConfig:
+def _sde_setup(args):
+    """simulate's and verify's (params, vol, config) and the payload head reporting them."""
+    params, _ = _load_fit(args.fit)
+    vol = _load_vol(args)
     # SdeConfig owns the checks; a value it refuses is a bad flag.
     try:
-        return stochastic.SdeConfig(
-            dt=args.dt,
-            horizon=args.horizon,
-            n_paths=args.paths,
-            seed=args.seed,
-            counting_mode=args.counting,
-        )
+        config = stochastic.SdeConfig(dt=args.dt, horizon=args.horizon, n_paths=args.paths,
+                                      seed=args.seed, counting_mode=args.counting)
     except DomainError as exc:
         raise UsageError(str(exc)) from exc
+    payload = {
+        "params": params.to_dict(),
+        "vol": dataclasses.asdict(vol),
+        "config": dataclasses.asdict(config),
+    }
+    return params, vol, config, payload
 
 
 # --- subcommand handlers ----------------------------------------------------
@@ -256,7 +256,7 @@ def _sde_config(args) -> stochastic.SdeConfig:
 def _cmd_ingest(args):
     fmt = _sniff_format(args.input)
     if fmt == "panel-csv":
-        panels = corpus.load_corpus(args.input, "panel-csv")
+        panels = corpus.load_corpus(args.input, "panel-csv", retrieval_year=args.retrieval_year)
         payload = {
             "format": fmt,
             "panels": [
@@ -332,14 +332,11 @@ def _select_panel(panels, discipline, dataset_year):
 
 
 def _truncate_panel(panel, max_age, cap):
-    entries = tuple(e for e in panel.entries if e.t <= max_age)
-    missing = tuple(a for a in panel.missing_ages if a <= max_age)
-    return corpus.AgePanel(
-        discipline=panel.discipline,
-        dataset_year=panel.dataset_year,
+    return dataclasses.replace(
+        panel,
         percentile_cap=cap,
-        entries=entries,
-        missing_ages=missing,
+        entries=tuple(e for e in panel.entries if e.t <= max_age),
+        missing_ages=tuple(a for a in panel.missing_ages if a <= max_age),
     )
 
 
@@ -386,13 +383,13 @@ def _cmd_trend(args):
         args.discipline,
         args.first_year,
         args.last_year,
-        args.cap if args.cap is not None else DEFAULT_CAP,
+        args.cap,
         max_age=args.max_age,
     )
     points = historyfit.trend_metrics(panels)
     payload = {
         "discipline": args.discipline,
-        "percentile_cap": args.cap if args.cap is not None else DEFAULT_CAP,
+        "percentile_cap": args.cap,
         "points": [p._asdict() for p in points],
     }
     if args.csv:
@@ -452,19 +449,15 @@ def _cmd_reckoner(args):
 
 
 def _cmd_simulate(args):
-    params, _ = _load_fit(args.fit)
-    vol, vol_inputs = _load_vol(args)
-    config = _sde_config(args)
-    counts, x0 = [], None
+    params, vol, config, payload = _sde_setup(args)
+    counts = []
 
     def counted_blocks():
         # The per-path counts are taken from each block as the CSV writer
         # (or, without --ensemble, the deque below) consumes it, so the
         # ensemble is simulated once.
-        nonlocal x0
         for block in stochastic.ensemble_blocks(params, vol, config, args.method):
             counts.append(stochastic.count_citations(block))
-            x0 = float(block.paths[0, 0])  # every path starts at u(0)
             yield block
             del block  # freed before the next block is simulated
 
@@ -472,33 +465,20 @@ def _cmd_simulate(args):
         stochastic.write_ensemble_csv(counted_blocks(), args.ensemble, mode=args.ensemble_mode)
     else:
         collections.deque(counted_blocks(), maxlen=0)  # consume, keeping no block
-    payload = {
-        "params": params.to_dict(),
-        "vol": dataclasses.asdict(vol),
-        "config": dataclasses.asdict(config),
-        "method": args.method,
-        "x0": x0,
-        "count_summary": _summary_stats(np.concatenate(counts)),
-    }
+    payload["method"] = args.method
+    payload["x0"] = historyfit.eval_history(params, 0.0)  # every path starts at u(0)
+    payload["count_summary"] = _summary_stats(np.concatenate(counts))
     if args.ensemble:
         payload["ensemble"] = Path(args.ensemble).name
-    return payload, [args.fit] + vol_inputs, []
+    return payload, [args.fit] + [p for p in (args.vol, args.vol_series) if p is not None], []
 
 
 def _cmd_verify(args):
-    params, _ = _load_fit(args.fit)
-    vol, vol_inputs = _load_vol(args)
-    config = _sde_config(args)
-    checks = stochastic.verify_ensemble(params, vol, config)
-    payload = {
-        "params": params.to_dict(),
-        "vol": dataclasses.asdict(vol),
-        "config": dataclasses.asdict(config),
-        "checks": checks,
-        "overall_pass": all(c["pass"] for c in checks),
-    }
+    params, vol, config, payload = _sde_setup(args)
+    payload["checks"] = stochastic.verify_ensemble(params, vol, config)
+    payload["overall_pass"] = all(c["pass"] for c in payload["checks"])
     warnings = [] if payload["overall_pass"] else ["one or more verification checks failed"]
-    return payload, [args.fit] + vol_inputs, warnings
+    return payload, [args.fit] + [p for p in (args.vol, args.vol_series) if p is not None], warnings
 
 
 # --- plotting ---------------------------------------------------------------
@@ -509,12 +489,6 @@ class PlotSeries(NamedTuple):
     x: Sequence[float]
     y: Sequence[float]
     style: str | None = None  # None inherits emit_plot's default
-
-
-def _plot_extent(values, lo=None, hi=None):
-    lo = min(values) if lo is None else min(lo, min(values))
-    hi = max(values) if hi is None else max(hi, max(values))
-    return lo, hi
 
 
 def emit_plot(series: Sequence[PlotSeries], style: str = "line", *, out):
@@ -538,10 +512,8 @@ def emit_plot(series: Sequence[PlotSeries], style: str = "line", *, out):
         if s.style not in (None, "line", "scatter"):
             raise UsageError(f"series {s.label!r}: unknown style {s.style!r}")
 
-    x_lo = x_hi = y_lo = y_hi = None
-    for s in series:
-        x_lo, x_hi = _plot_extent(s.x, x_lo, x_hi)
-        y_lo, y_hi = _plot_extent(s.y, y_lo, y_hi)
+    x_lo, x_hi = min(min(s.x) for s in series), max(max(s.x) for s in series)
+    y_lo, y_hi = min(min(s.y) for s in series), max(max(s.y) for s in series)
     if x_hi == x_lo:
         x_lo, x_hi = x_lo - 1.0, x_hi + 1.0
     if y_hi == y_lo:
@@ -680,17 +652,6 @@ def _add_vol_flags(p):
     p.add_argument("--s2", type=float, help="volatility scale (with --s1)")
 
 
-def _seed(text: str) -> int:
-    # Each path's Philox key holds the seed as one uint64 word.
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"seed must be an integer, got {text!r}")
-    if not 0 <= value < 2**64:
-        raise argparse.ArgumentTypeError(f"seed must lie in [0, 2**64), got {value}")
-    return value
-
-
 def _threads(text: str) -> int:
     try:
         value = int(text)
@@ -705,7 +666,7 @@ def _add_sde_flags(p):
     p.add_argument("--dt", type=float, default=0.01, help="grid step in years (default 0.01)")
     p.add_argument("--horizon", type=float, default=10.0, help="simulation horizon in years (default 10)")
     p.add_argument("--paths", type=int, default=1000, help="number of paths (default 1000)")
-    p.add_argument("--seed", type=_seed, default=0, help="RNG seed in [0, 2**64) (default 0)")
+    p.add_argument("--seed", type=int, default=0, help="RNG seed in [0, 2**64) (default 0)")
     p.add_argument(
         "--counting",
         choices=stochastic.COUNTING_MODES,
@@ -772,7 +733,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--discipline", required=True)
     p.add_argument("--first-year", type=int, required=True)
     p.add_argument("--last-year", type=int, required=True)
-    p.add_argument("--cap", type=float, help=f"percentile cap (default {DEFAULT_CAP})")
+    p.add_argument("--cap", type=float, default=DEFAULT_CAP, help=f"percentile cap (default {DEFAULT_CAP})")
     p.add_argument("--max-age", type=int, help="fixed age span per panel (default: full window)")
     p.add_argument("--csv", help="write the trend table CSV here")
     p.add_argument("--out", required=True, help="result envelope JSON")

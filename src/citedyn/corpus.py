@@ -363,7 +363,8 @@ def load_corpus(path, format: str, retrieval_year: int | None = None):
     each age. Gaps inside an eprint's age range are zero-filled with a
     logged warning; duplicates and conflicting counts are rejected with
     their row numbers. When retrieval_year is not given it is derived as
-    the latest observed (submit_year + max age).
+    the latest observed (submit_year + max age). Panels carry their own
+    dataset years, so retrieval_year with "panel-csv" raises DomainError.
 
     Returns a CitationCorpus for "long-csv", a list of AgePanel for
     "panel-csv".
@@ -371,6 +372,8 @@ def load_corpus(path, format: str, retrieval_year: int | None = None):
     if format == "long-csv":
         return _load_long_csv(path, retrieval_year)
     if format == "panel-csv":
+        if retrieval_year is not None:
+            raise DomainError("retrieval_year applies only to long-csv input")
         return _load_panel_csv(path)
     raise SchemaError(f"unknown corpus format {format!r}")
 

@@ -273,10 +273,20 @@ class SdeConfig:
             raise DomainError(
                 f"counting_mode must be one of {COUNTING_MODES}, got {self.counting_mode!r}"
             )
+        if self.counting_mode == "yearly-floor-sum":
+            _steps_per_year(self.dt)
 
     @property
     def n_steps(self) -> int:
         return round(self.horizon / self.dt)
+
+
+def _steps_per_year(dt: float) -> int:
+    # Yearly counting reads the grid at whole years, so dt must divide one.
+    per_year = round(1.0 / dt)
+    if abs(per_year * dt - 1.0) > 1e-9:
+        raise DomainError("yearly counting needs dt to divide one year evenly")
+    return per_year
 
 
 @dataclass(frozen=True)
@@ -462,10 +472,7 @@ def count_citations(ensemble: PathEnsemble, mode: str | None = None) -> np.ndarr
         raise DomainError(f"mode must be one of {COUNTING_MODES}, got {mode!r}")
     if mode == "integral-floor":
         return np.floor(_row_integrals(ensemble.paths, ensemble.grid)).astype(np.int64)
-    dt = ensemble.config.dt
-    per_year = round(1.0 / dt)
-    if abs(per_year * dt - 1.0) > 1e-9:
-        raise DomainError("yearly counting needs dt to divide one year evenly")
+    per_year = _steps_per_year(ensemble.config.dt)
     years = math.floor(ensemble.config.horizon + 1e-9)
     idx = [y * per_year for y in range(years)]
     return np.floor(ensemble.paths[:, idx]).sum(axis=1).astype(np.int64)
@@ -502,7 +509,9 @@ def verify_ensemble(
     the horizon) against u(t) within 3 standard errors, the log-variance at
     the horizon within 5%, the Kolmogorov-Smirnov distance of X(t_mid)
     from the closed-form marginal (t_mid = min(5, horizon)), and the
-    lognormal law of the citation counts. Every check reads the sample, so
+    lognormal law of the citation counts. A check at time t reads the grid
+    node k = round(t / dt) and compares it with the closed form at k * dt,
+    the time it sampled. Every check reads the sample, so
     a faulty sampler can fail it. A failed count fit adds a note and
     observed None. The ensemble is streamed in blocks; only the per-path
     counts and the few time columns the checks read are kept.
@@ -510,9 +519,9 @@ def verify_ensemble(
     n_steps = config.n_steps
     mean_ts = [t for t in (1.0, 5.0, 10.0) if t <= config.horizon + 1e-9]
     t_mid = min(5.0, config.horizon)
-    cols = sorted(
-        {int(round(t / config.dt)) for t in mean_ts + [t_mid]} | {n_steps}
-    )
+    mean_ks = [round(t / config.dt) for t in mean_ts]
+    k_mid = round(t_mid / config.dt)
+    cols = sorted({*mean_ks, k_mid, n_steps})
     low = math.inf
     kept_blocks, count_blocks = [], []
     for block in ensemble_blocks(params, vol, config, "exact"):
@@ -529,9 +538,9 @@ def verify_ensemble(
         {"name": "positivity", "observed": low, "bound": 0.0, "pass": bool(low > 0)}
     ]
 
-    for t in mean_ts:
-        sample = column(int(round(t / config.dt)))
-        u_t = eval_history(params, t)
+    for t, k in zip(mean_ts, mean_ks):
+        sample = column(k)
+        u_t = eval_history(params, k * config.dt)
         se = float(sample.std(ddof=1)) / math.sqrt(config.n_paths)
         gap = abs(float(sample.mean()) - u_t)
         checks.append(
@@ -557,12 +566,12 @@ def verify_ensemble(
         }
     )
 
-    m, s = _marginal_log_moments(t_mid, params, vol)
+    m, s = _marginal_log_moments(k_mid * config.dt, params, vol)
 
     def lognormal_cdf(x):
         return distfit.normal_cdf((np.log(x) - m) / s)
 
-    ks = _ks_distance(column(int(round(t_mid / config.dt))), lognormal_cdf)
+    ks = _ks_distance(column(k_mid), lognormal_cdf)
     checks.append(
         {"name": f"ks_t{t_mid:g}", "observed": ks, "bound": 0.02, "pass": bool(ks < 0.02)}
     )

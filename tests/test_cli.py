@@ -301,6 +301,15 @@ def test_ingest_refuses_citations_after_an_explicit_retrieval_year(tmp_path, cap
     assert not out.exists()
 
 
+def test_ingest_refuses_a_retrieval_year_for_panel_csv(tmp_path, capsys):
+    out = tmp_path / "r.json"
+    argv = ["ingest", "--input", str(SAMPLES / "panel_wide.csv"), "--retrieval-year", "1800",
+            "--out", str(out)]
+    assert run_command(argv) == 2
+    assert "error: retrieval_year applies only to long-csv input\n" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("age", ["1000000000000", "30000000"])
 def test_ingest_refuses_an_age_past_year_9999(tmp_path, capsys, age):
     path = tmp_path / "corpus.csv"
@@ -704,6 +713,11 @@ def test_sampler_bits_are_pinned(tmp_path, method):
     )
     assert code == 0
     assert hashlib.sha256(ens.read_bytes()).hexdigest() == PINNED_PATHS_SHA256[method]
+    # The reported x0 is, bit for bit, where every dumped path starts.
+    x0 = read_envelope(tmp_path / "r.json")["payload"]["x0"]
+    with open(ens, newline="", encoding="utf-8") as fh:
+        starts = {float(row["x"]) for row in csv.DictReader(fh) if float(row["t"]) == 0.0}
+    assert starts == {x0}
 
 
 def test_count_summary_is_pinned(tmp_path):
@@ -877,8 +891,6 @@ def test_verify_normalizes_a_narrow_marginal(tmp_path, params_json):
 @pytest.mark.parametrize(
     "flag, value, message",
     [
-        ("--seed", str(2**64), "seed must lie in [0, 2**64), got 18446744073709551616"),
-        ("--seed", "-1", "seed must lie in [0, 2**64), got -1"),
         ("--threads", "0", "threads must be >= 1, got 0"),
     ],
 )
@@ -902,6 +914,8 @@ def test_sde_flag_out_of_range_is_a_usage_error(tmp_path, params_json, capsys, c
         (["--dt", "0.01", "--horizon", "0.015"], "horizon 0.015 is not a whole number of dt=0.01 steps"),
         (["--horizon", "nan"], "horizon must be finite, got nan"),
         (["--horizon", "inf"], "horizon must be finite, got inf"),
+        (["--seed", str(2**64)], "seed must be an integer in [0, 2**64), got 18446744073709551616"),
+        (["--seed", "-1"], "seed must be an integer in [0, 2**64), got -1"),
     ],
 )
 @pytest.mark.parametrize("command", ["simulate", "verify"])
@@ -915,6 +929,19 @@ def test_sde_config_refusal_is_a_usage_error(tmp_path, params_json, capsys, comm
     assert code == 1
     assert f"error: {message}\n" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["simulate", "verify"])
+def test_yearly_count_off_the_year_grid_is_refused_before_any_output(tmp_path, params_json,
+                                                                     capsys, command):
+    out, ens = tmp_path / "r.json", tmp_path / "x.csv"
+    argv = [command, "--fit", str(params_json), "--s1", "0.0281", "--s2", "0.2", "--dt", "0.3",
+            "--horizon", "6", "--counting", "yearly-floor-sum", "--out", str(out)]
+    if command == "simulate":
+        argv += ["--ensemble", str(ens)]
+    assert run_command(argv) == 1
+    assert "error: yearly counting needs dt to divide one year evenly\n" in capsys.readouterr().err
+    assert not out.exists() and not ens.exists()
 
 
 @pytest.mark.parametrize("command", ["simulate", "verify"])

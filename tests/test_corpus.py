@@ -1102,6 +1102,15 @@ def test_panel_csv_round_trip(tmp_path):
     assert got.entries == panel.entries
 
 
+def test_panel_csv_refuses_a_retrieval_year(tmp_path):
+    # A panel carries its own dataset year; a retrieval year would be dropped.
+    c = CitationCorpus(records=(rec("a", 2016, (1, 2, 3, 4)),), retrieval_year=2019)
+    path = tmp_path / "panels.csv"
+    write_panel_csv([build_age_panel(c, "astro-ph", 2019, percentile_cap=1.0, max_age=3)], path)
+    with pytest.raises(DomainError, match="retrieval_year applies only to long-csv input"):
+        load_corpus(path, "panel-csv", retrieval_year=1800)
+
+
 def test_panel_csv_errors(tmp_path):
     path = tmp_path / "panels.csv"
     write_rows(

@@ -3,8 +3,10 @@
 import csv
 import dataclasses
 import functools
+import json
 import math
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -26,6 +28,7 @@ from citedyn.stochastic import (
     PathEnsemble,
     SdeConfig,
     TimingSimConfig,
+    VolatilityFit,
     beta_star,
     closed_form_density,
     count_citations,
@@ -142,6 +145,13 @@ def test_sde_config_validation():
         SdeConfig(dt=0.5, horizon=2.0, n_paths=10, seed=-1)
     with pytest.raises(DomainError):
         SdeConfig(dt=0.5, horizon=2.0, n_paths=10, seed=0, counting_mode="exact")
+
+
+def test_sde_config_refuses_a_yearly_count_off_the_year_grid():
+    SdeConfig(dt=0.3, horizon=6.0, n_paths=10, seed=0)
+    SdeConfig(dt=0.25, horizon=6.0, n_paths=10, seed=0, counting_mode="yearly-floor-sum")
+    with pytest.raises(DomainError, match="yearly counting needs dt to divide one year evenly"):
+        SdeConfig(dt=0.3, horizon=6.0, n_paths=10, seed=0, counting_mode="yearly-floor-sum")
 
 
 # --- exact sampler ----------------------------------------------------------------
@@ -360,6 +370,20 @@ def test_verify_ensemble_reads_the_whole_ensemble():
         assert checks[f"mean_recovery_t{t}"]["bound"] == pytest.approx(3 * se, rel=1e-13)
     var = np.log(paths[:, -1]).var(ddof=1)
     assert checks["log_variance_horizon"]["observed"] == pytest.approx(var, rel=1e-13)
+
+
+def test_verify_ensemble_compares_at_the_node_it_reads():
+    # At dt = 0.7 the node nearest t = 1 is t = 0.7, and the one nearest
+    # t = 5 is t = 4.9; the closed forms must be taken there, not at t.
+    samples = Path(__file__).resolve().parent.parent / "docs" / "samples"
+    params = HistoryParams.from_dict(json.loads((samples / "params.json").read_text()))
+    vol = VolatilityFit.from_dict(json.loads((samples / "vol.json").read_text()))
+    config = SdeConfig(dt=0.7, horizon=7.0, n_paths=10_000, seed=0)
+    checks = {c["name"]: c for c in verify_ensemble(params, vol, config)}
+    assert checks["mean_recovery_t1"]["expected"] == eval_history(params, 0.7)
+    assert checks["mean_recovery_t1"]["pass"]
+    assert checks["mean_recovery_t5"]["expected"] == eval_history(params, 7 * 0.7)
+    assert checks["ks_t5"]["pass"]
 
 
 def test_verify_ensemble_on_a_short_horizon():
