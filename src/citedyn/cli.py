@@ -497,7 +497,9 @@ def emit_plot(series: Sequence[PlotSeries], style: str = "line", *, out):
     Each series is a (label, x, y, style) tuple; per-series style falls
     back to the style argument ("line" or "scatter"). The sibling CSV
     (same stem, .csv suffix) holds the plotted points in long form so any
-    external plotter can reproduce the figure. out is required.
+    external plotter can reproduce the figure. out is required. A series
+    with a NaN or infinite coordinate, which SVG cannot place, raises
+    DataError.
     """
     if style not in ("line", "scatter"):
         raise UsageError(f"style must be 'line' or 'scatter', got {style!r}")
@@ -509,6 +511,8 @@ def emit_plot(series: Sequence[PlotSeries], style: str = "line", *, out):
             raise DataError(f"series {s.label!r}: x/y length mismatch")
         if len(s.x) < 2:
             raise InsufficientDataError(f"series {s.label!r} has fewer than 2 points")
+        if not all(map(math.isfinite, [*s.x, *s.y])):
+            raise DataError(f"series {s.label!r} has a non-finite point")
         if s.style not in (None, "line", "scatter"):
             raise UsageError(f"series {s.label!r}: unknown style {s.style!r}")
 
@@ -589,6 +593,10 @@ def emit_plot(series: Sequence[PlotSeries], style: str = "line", *, out):
 
 
 def _cmd_plot(args):
+    svg = Path(args.svg)
+    # Neither the figure nor its sibling CSV may replace the data they plot.
+    if Path(args.data).resolve() in (svg.resolve(), svg.with_suffix(".csv").resolve()):
+        raise UsageError(f"--svg {args.svg} would overwrite --data {args.data}")
     with open_csv(args.data) as fh:
         reader = csv.DictReader(fh)
         if reader.fieldnames is None:

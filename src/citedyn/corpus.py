@@ -274,13 +274,16 @@ class CitationCorpus:
         """Citations of each of `eprints` through calendar year `through`.
 
         through=None gives lifetime totals; a year past the retrieval year
-        raises DomainError, since the data end there.
+        raises DomainError, since the data end there, and so does a year
+        before MIN_SUBMIT_YEAR, since no eprint is submitted earlier.
         """
         start, end = self.offsets[eprints], self.offsets[eprints + 1]
         if through is not None:
             if through > self.retrieval_year:
                 raise DomainError(f"dataset_year {through} exceeds retrieval_year "
                                   f"{self.retrieval_year}")
+            if through < MIN_SUBMIT_YEAR:
+                raise DomainError(f"dataset_year {through} predates {MIN_SUBMIT_YEAR}")
             end = np.clip(start + (through - self.submit_years[eprints] + 1), start, end)
         running = np.concatenate(([0], np.cumsum(self.counts)))
         return running[end] - running[start]
@@ -751,12 +754,14 @@ def build_age_panel(corpus: CitationCorpus, discipline: str, dataset_year: int,
     filtered population. Each surviving eprint contributes at ages
     0..(dataset_year - submit_year); u_i is the integer citation sum at
     age i divided by the number of eprints observable at that age.
+    max_age lies in [1, MAX_YEAR - MIN_SUBMIT_YEAR]: no eprint can reach an
+    older age.
     """
     if dataset_year > corpus.retrieval_year:
         raise DomainError(f"dataset_year {dataset_year} exceeds retrieval_year "
                           f"{corpus.retrieval_year}")
-    if max_age < 1:
-        raise DomainError(f"max_age must be >= 1, got {max_age}")
+    if not 1 <= max_age <= MAX_YEAR - MIN_SUBMIT_YEAR:
+        raise DomainError(f"max_age must lie in [1, {MAX_YEAR - MIN_SUBMIT_YEAR}], got {max_age}")
     if not 0.0 < percentile_cap <= 1.0:
         raise DomainError(f"percentile_cap must lie in (0, 1], got {percentile_cap}")
 

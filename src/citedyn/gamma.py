@@ -129,11 +129,13 @@ def score_eprints(
     reported in the returned warning list, not silently dropped. Rank
     scores are computed within the scorable set, the same population the
     gamma values describe. A dataset_year past the corpus's retrieval year
-    raises DomainError, as CitationCorpus.citation_totals does.
+    or before corpus.MIN_SUBMIT_YEAR raises DomainError, as
+    CitationCorpus.citation_totals does.
     """
     members = corpus.members(discipline)
-    ages = (dataset_year - corpus.submit_years[members]).tolist()
+    # The totals check dataset_year, so they come before the ages use it.
     totals = corpus.citation_totals(members, through=dataset_year).tolist()
+    ages = (dataset_year - corpus.submit_years[members]).tolist()
     usable = []
     warnings = []
     for k, T, c in zip(members.tolist(), ages, totals):

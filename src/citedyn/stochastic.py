@@ -457,20 +457,17 @@ def closed_form_density(x, t: float, params: HistoryParams, vol: VolatilityFit):
     return float(out[0]) if scalar else out
 
 
-def count_citations(ensemble: PathEnsemble, mode: str | None = None) -> np.ndarray:
+def count_citations(ensemble: PathEnsemble) -> np.ndarray:
     """Integer citation totals per path over the simulated horizon.
 
-    "integral-floor" floors the trapezoidal integral of the rate path,
-    taken TILE_ROWS paths at a time (see _row_integrals);
+    The convention is the ensemble's config.counting_mode, which SdeConfig
+    validates. "integral-floor" floors the trapezoidal integral of the
+    rate path, taken TILE_ROWS paths at a time (see _row_integrals);
     "yearly-floor-sum" sums the floored rate at the start of each whole
-    year, sum over i in 0..T-1 of floor(X(i)). mode=None takes the
-    convention from the ensemble's config. The two disagree in general
+    year, sum over i in 0..T-1 of floor(X(i)). The two disagree in general
     (most visibly for sub-unit rates), which is why both exist.
     """
-    mode = mode or ensemble.config.counting_mode
-    if mode not in COUNTING_MODES:
-        raise DomainError(f"mode must be one of {COUNTING_MODES}, got {mode!r}")
-    if mode == "integral-floor":
+    if ensemble.config.counting_mode == "integral-floor":
         return np.floor(_row_integrals(ensemble.paths, ensemble.grid)).astype(np.int64)
     per_year = _steps_per_year(ensemble.config.dt)
     years = math.floor(ensemble.config.horizon + 1e-9)
@@ -488,9 +485,10 @@ def _row_integrals(paths: np.ndarray, grid: np.ndarray) -> np.ndarray:
     return totals
 
 
-def _ks_distance(sample: np.ndarray, cdf) -> float:
+def _ks_distance(sample: np.ndarray, m: float, s: float) -> float:
+    """Kolmogorov-Smirnov distance of sample from the lognormal law of ln X ~ N(m, s^2)."""
     x = np.sort(sample)
-    f = cdf(x)
+    f = distfit.normal_cdf((np.log(x) - m) / s)
     n = x.size
     upper = np.arange(1, n + 1) / n
     lower = np.arange(0, n) / n
@@ -504,18 +502,22 @@ def verify_ensemble(
 ) -> list[dict]:
     """Property checks of the exact sampler against the closed forms.
 
-    Each check is a dict with name, observed, bound, pass and, where there
-    is one, expected: positivity, the mean at t = 1, 5 and 10 (those within
-    the horizon) against u(t) within 3 standard errors, the log-variance at
-    the horizon within 5%, the Kolmogorov-Smirnov distance of X(t_mid)
-    from the closed-form marginal (t_mid = min(5, horizon)), and the
-    lognormal law of the citation counts. A check at time t reads the grid
-    node k = round(t / dt) and compares it with the closed form at k * dt,
-    the time it sampled. Every check reads the sample, so
-    a faulty sampler can fail it. A failed count fit adds a note and
-    observed None. The ensemble is streamed in blocks; only the per-path
-    counts and the few time columns the checks read are kept.
+    Each check is a dict of name, observed, expected (where the check has
+    one), bound, pass and note (where there is one), in that order:
+    positivity, the mean at t = 1, 5 and 10 (those within the horizon)
+    against u(t) within 3 standard errors, the log-variance at the horizon
+    within 5%, the Kolmogorov-Smirnov distance of X(t_mid) from the
+    closed-form marginal (t_mid = min(5, horizon)), and the lognormal law
+    of the citation counts. A check at time t reads the grid node
+    k = round(t / dt) and compares it with the closed form at k * dt, the
+    time it sampled. Every check reads the sample, so a faulty sampler can
+    fail it. A failed count fit adds a note and observed None. The
+    ensemble is streamed in blocks; only the per-path counts and the few
+    time columns the checks read are kept. Fewer than 2 paths, too few
+    for a spread, raise InsufficientDataError before any is simulated.
     """
+    if config.n_paths < 2:
+        raise InsufficientDataError(f"verify needs at least 2 paths, got {config.n_paths}")
     n_steps = config.n_steps
     mean_ts = [t for t in (1.0, 5.0, 10.0) if t <= config.horizon + 1e-9]
     t_mid = min(5.0, config.horizon)
@@ -534,69 +536,38 @@ def verify_ensemble(
     def column(idx: int) -> np.ndarray:
         return kept[:, cols.index(idx)]
 
-    checks = [
-        {"name": "positivity", "observed": low, "bound": 0.0, "pass": bool(low > 0)}
-    ]
+    checks = []
+
+    def check(name, observed, bound, passed, *, expected=None, note=None):
+        # A check without an expected value or a note has no such key.
+        record = {"name": name, "observed": observed, "expected": expected,
+                  "bound": bound, "pass": bool(passed), "note": note}
+        checks.append({k: v for k, v in record.items() if v is not None or k == "observed"})
+
+    check("positivity", low, 0.0, low > 0)
 
     for t, k in zip(mean_ts, mean_ks):
         sample = column(k)
         u_t = eval_history(params, k * config.dt)
         se = float(sample.std(ddof=1)) / math.sqrt(config.n_paths)
-        gap = abs(float(sample.mean()) - u_t)
-        checks.append(
-            {
-                "name": f"mean_recovery_t{t:g}",
-                "observed": float(sample.mean()),
-                "expected": u_t,
-                "bound": 3.0 * se,
-                "pass": bool(gap <= 3.0 * se),
-            }
-        )
+        mean = float(sample.mean())
+        check(f"mean_recovery_t{t:g}", mean, 3.0 * se, abs(mean - u_t) <= 3.0 * se, expected=u_t)
 
     log_sample = np.log(column(n_steps))
     var_obs = float(log_sample.var(ddof=1))
     var_expected = log_variance(n_steps * config.dt, vol)
-    checks.append(
-        {
-            "name": "log_variance_horizon",
-            "observed": var_obs,
-            "expected": var_expected,
-            "bound": 0.05,
-            "pass": bool(abs(var_obs / var_expected - 1.0) <= 0.05),
-        }
-    )
+    check("log_variance_horizon", var_obs, 0.05, abs(var_obs / var_expected - 1.0) <= 0.05,
+          expected=var_expected)
 
-    m, s = _marginal_log_moments(k_mid * config.dt, params, vol)
-
-    def lognormal_cdf(x):
-        return distfit.normal_cdf((np.log(x) - m) / s)
-
-    ks = _ks_distance(column(k_mid), lognormal_cdf)
-    checks.append(
-        {"name": f"ks_t{t_mid:g}", "observed": ks, "bound": 0.02, "pass": bool(ks < 0.02)}
-    )
+    ks = _ks_distance(column(k_mid), *_marginal_log_moments(k_mid * config.dt, params, vol))
+    check(f"ks_t{t_mid:g}", ks, 0.02, ks < 0.02)
 
     try:
         series = distfit.make_quantile_series(counts.tolist())
         lognorm = distfit.fit_lognormal_quantile(series)
-        checks.append(
-            {
-                "name": "lognormal_law_counts",
-                "observed": lognorm.r2_adj,
-                "bound": 0.98,
-                "pass": bool(lognorm.r2_adj > 0.98),
-            }
-        )
+        check("lognormal_law_counts", lognorm.r2_adj, 0.98, lognorm.r2_adj > 0.98)
     except DataError as exc:
-        checks.append(
-            {
-                "name": "lognormal_law_counts",
-                "observed": None,
-                "bound": 0.98,
-                "pass": False,
-                "note": str(exc),
-            }
-        )
+        check("lognormal_law_counts", None, 0.98, False, note=str(exc))
 
     return checks
 

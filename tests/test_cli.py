@@ -1100,6 +1100,50 @@ def test_non_finite_vol_series_is_a_data_error(tmp_path, params_json, capsys, co
     assert not out.exists()
 
 
+SAMPLE_ASTRO = ["--input", str(SAMPLES / "corpus.csv"), "--discipline", "astro-ph"]
+SAMPLE_FIT = ["--fit", str(SAMPLES / "params.json")]
+TREND_2019 = ["--first-year", "2019", "--last-year", "2019"]
+
+
+@pytest.mark.parametrize("argv, code", [
+    pytest.param(["gamma", *SAMPLE_ASTRO, *SAMPLE_FIT, "--dataset-year", str(2**63)], 2,
+                 id="gamma-year-past-int64"),
+    pytest.param(["gamma", *SAMPLE_ASTRO, *SAMPLE_FIT, "--dataset-year", str(-10**30)], 2,
+                 id="gamma-year-before-1991"),
+    pytest.param(["fit-dist", *SAMPLE_ASTRO, "--dataset-year", str(-10**30)], 2,
+                 id="fit-dist-year-before-1991"),
+    *(
+        pytest.param([command, *SAMPLE_ASTRO, *extra, "--max-age", age], 2,
+                     id=f"{command}-max-age-{age}")
+        for command, extra in (("fit-history", []), ("trend", TREND_2019))
+        for age in ("100000", "100000000000", "10000000000000000000")
+    ),
+    pytest.param(["plot", "--data", "summary.csv", "--x", "t", "--y", "mean",
+                  "--svg", "summary.svg"], 1, id="plot-sibling-csv-over-its-data"),
+    pytest.param(["plot", "--data", "summary.csv", "--x", "t", "--y", "mean",
+                  "--svg", "summary.csv"], 1, id="plot-svg-over-its-data"),
+    pytest.param(["plot", "--data", "trend.csv", "--x", "t", "--y", "mean",
+                  "--svg", "fig.svg"], 2, id="plot-nan-y"),
+    pytest.param(["plot", "--data", "trend.csv", "--x", "x", "--y", "t",
+                  "--svg", "fig.svg"], 2, id="plot-inf-x"),
+    pytest.param(["verify", *SAMPLE_FIT, "--vol", str(SAMPLES / "vol.json"), "--paths", "1"], 2,
+                 id="verify-one-path"),
+])
+def test_out_of_range_input_is_refused_before_any_output(tmp_path, monkeypatch, capsys, argv,
+                                                         code):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "summary.csv").write_text("t,mean\n0,1.5\n1,2.5\n")
+    (tmp_path / "trend.csv").write_text("t,mean,x\n0,1.5,0\n1,nan,inf\n2,2.5,2\n")
+    before = {path.name: path.read_bytes() for path in tmp_path.iterdir()}
+    assert run_command([*argv, "--out", "r.json"]) == code
+    err = capsys.readouterr().err
+    assert "error: " in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "r.json").exists()
+    # No file is written or changed; --data keeps its bytes.
+    assert {path.name: path.read_bytes() for path in tmp_path.iterdir()} == before
+
+
 def test_help_and_version_exit_cleanly(capsys):
     assert run_command(["--help"]) == 0
     assert run_command(["--version"]) == 0

@@ -3,7 +3,8 @@
 Each column table in the format reference is parsed and compared with
 the header row its writer emits, so the documented schemas cannot drift
 from the code, and every file is checked against the CSV conventions
-the reference states. The README's library example is run as written.
+the reference states. The README's library example and its command-line
+walkthrough are run as written.
 """
 
 import codecs
@@ -11,6 +12,7 @@ import csv
 import json
 import logging
 import re
+import shlex
 from pathlib import Path
 
 import pytest
@@ -173,3 +175,27 @@ def test_readme_library_example_runs(caplog):
     assert names["fit"].converged
     assert len(names["stars"]) == 4 and names["skipped"] == []
     assert names["counts"].shape == (10_000,)
+
+
+def test_readme_walkthrough_runs(tmp_path, monkeypatch):
+    readme = (DOCS.parent / "README.md").read_text(encoding="utf-8")
+    block = readme.split("## Command-line walkthrough\n", 1)[1].split("```sh\n", 1)[1]
+    block = block.split("```", 1)[0].replace("\\\n", " ")
+    commands = [line for line in block.splitlines() if line.startswith("citedyn ")]
+    assert len(commands) == 7
+    monkeypatch.chdir(tmp_path)
+    for line in commands:
+        argv = [str(DOCS.parent / arg) if arg.startswith("docs/samples/") else arg
+                for arg in shlex.split(line)[1:]]
+        assert run_command(argv) == 0, line
+
+    def payload(name):
+        return json.loads((tmp_path / name).read_text(encoding="utf-8"))["payload"]
+
+    # The claims the README makes after the block.
+    truth = json.loads(Path(PARAMS).read_text(encoding="utf-8"))
+    fitted = payload("fit.json")["params"]
+    for key in ("A", "mu", "sigma", "B", "lambda"):
+        assert fitted[key] == pytest.approx(truth[key], rel=0.01), key
+    assert payload("metrics.json")["metrics"]["t_peak"] == pytest.approx(1.57, abs=0.01)
+    assert payload("verify.json")["overall_pass"] is True

@@ -291,8 +291,12 @@ def test_blocks_partition_the_ensemble(n_paths, method):
     assert all(b.method == method and b.config == config for b in blocks)
     assert np.array_equal(np.concatenate([b.paths for b in blocks]), full.paths)
     for mode in ("integral-floor", "yearly-floor-sum"):
-        streamed = np.concatenate([count_citations(b, mode) for b in blocks])
-        assert np.array_equal(streamed, count_citations(full, mode))
+        counting = dataclasses.replace(config, counting_mode=mode)
+
+        def count(ens):
+            return count_citations(dataclasses.replace(ens, config=counting))
+
+        assert np.array_equal(np.concatenate([count(b) for b in blocks]), count(full))
 
 
 # Path counts around the sampler's tile and block edges.
@@ -306,12 +310,13 @@ TILE_EDGE_COUNTS = [1, TILE_ROWS - 1, TILE_ROWS, TILE_ROWS + 1, BLOCK_PATHS + 1]
     data=st.data(),
 )
 def test_tiles_match_numpy_and_the_full_ensemble(method, n_paths, n_steps, data):
-    config = SdeConfig(dt=0.25, horizon=0.25 * n_steps, n_paths=n_paths, seed=4)
+    config = SdeConfig(dt=0.25, horizon=0.25 * n_steps, n_paths=n_paths, seed=4,
+                       counting_mode="integral-floor")
     full = simulate_ensemble(ASTRO, VOL, config, method=method)
     # The counts are numpy's trapezoid rule, before and after flooring.
     totals = np.trapezoid(full.paths, full.grid, axis=1)
     assert np.array_equal(_row_integrals(full.paths, full.grid), totals)
-    counts = count_citations(full, "integral-floor")
+    counts = count_citations(full)
     assert np.array_equal(counts, np.floor(totals).astype(np.int64))
     # A range that may start inside a tile gives the full ensemble's rows.
     a = data.draw(st.integers(0, n_paths - 1), label="a")
@@ -518,10 +523,10 @@ def constant_ensemble(level, dt=1.0, horizon=4.0, mode="integral-floor"):
 def test_counting_modes_on_constant_paths():
     ens = constant_ensemble(2.5)
     assert count_citations(ens).tolist() == [10]
-    assert count_citations(ens, "yearly-floor-sum").tolist() == [8]
+    assert count_citations(constant_ensemble(2.5, mode="yearly-floor-sum")).tolist() == [8]
     low = constant_ensemble(0.4)
     assert count_citations(low).tolist() == [1]
-    assert count_citations(low, "yearly-floor-sum").tolist() == [0]
+    assert count_citations(constant_ensemble(0.4, mode="yearly-floor-sum")).tolist() == [0]
 
 
 def test_counting_mode_defaults_to_config():
@@ -530,11 +535,11 @@ def test_counting_mode_defaults_to_config():
 
 
 def test_yearly_counting_needs_unit_compatible_grid():
-    ens = constant_ensemble(1.0, dt=0.4, horizon=2.0)
-    with pytest.raises(DomainError):
-        count_citations(ens, "yearly-floor-sum")
-    with pytest.raises(DomainError):
-        count_citations(ens, "midpoint")
+    # SdeConfig owns the counting convention, so it refuses both.
+    with pytest.raises(DomainError, match="divide one year"):
+        constant_ensemble(1.0, dt=0.4, horizon=2.0, mode="yearly-floor-sum")
+    with pytest.raises(DomainError, match="counting_mode must be one of"):
+        constant_ensemble(1.0, dt=0.4, horizon=2.0, mode="midpoint")
 
 
 def test_counts_are_integers_from_simulation():
