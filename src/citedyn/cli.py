@@ -593,10 +593,6 @@ def emit_plot(series: Sequence[PlotSeries], style: str = "line", *, out):
 
 
 def _cmd_plot(args):
-    svg = Path(args.svg)
-    # Neither the figure nor its sibling CSV may replace the data they plot.
-    if Path(args.data).resolve() in (svg.resolve(), svg.with_suffix(".csv").resolve()):
-        raise UsageError(f"--svg {args.svg} would overwrite --data {args.data}")
     with open_csv(args.data) as fh:
         reader = csv.DictReader(fh)
         if reader.fieldnames is None:
@@ -660,16 +656,6 @@ def _add_vol_flags(p):
     p.add_argument("--s2", type=float, help="volatility scale (with --s1)")
 
 
-def _threads(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"threads must be an integer, got {text!r}")
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"threads must be >= 1, got {value}")
-    return value
-
-
 def _add_sde_flags(p):
     p.add_argument("--dt", type=float, default=0.01, help="grid step in years (default 0.01)")
     p.add_argument("--horizon", type=float, default=10.0, help="simulation horizon in years (default 10)")
@@ -681,12 +667,9 @@ def _add_sde_flags(p):
         default="integral-floor",
         help="citation counting convention (default integral-floor)",
     )
-    p.add_argument(
-        "--threads",
-        type=_threads,
-        help="validated for compatibility (>= 1, as is CITEDYN_THREADS); the simulation "
-        "runs on one thread and no longer depends on it",
-    )
+    # Still parsed because perfbench's ensemble workload passes --threads 1
+    # (ROADMAP item 4).
+    p.add_argument("--threads", type=int, help="ignored: the simulation runs on one thread")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -799,6 +782,27 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_INPUT_FLAGS = ("input", "fit", "vol", "vol_series", "data")
+_OUTPUT_FLAGS = ("out", "echo", "points", "curve", "csv", "scores", "ensemble", "svg")
+
+
+def _refuse_overwrite(args) -> None:
+    # No output may replace an input, before anything is read or written.
+    # Path.resolve follows symlinks only; hard links are not detected.
+    inputs = {Path(value).resolve(): name for name in _INPUT_FLAGS
+              if (value := getattr(args, name, None))}
+    outputs = [(name, getattr(args, name, None)) for name in _OUTPUT_FLAGS]
+    if getattr(args, "svg", None):
+        outputs.append(("svg", Path(args.svg).with_suffix(".csv")))  # plot's sibling CSV
+    for name, path in outputs:
+        source = inputs.get(Path(path).resolve()) if path else None
+        if source:
+            raise UsageError(
+                f"--{name} {getattr(args, name)} would overwrite "
+                f"--{source.replace('_', '-')} {getattr(args, source)}"
+            )
+
+
 def run_command(argv: Sequence[str] | None = None) -> int:
     """Parse argv, dispatch, write the envelope; returns the exit code."""
     parser = build_parser()
@@ -807,6 +811,7 @@ def run_command(argv: Sequence[str] | None = None) -> int:
     root.addHandler(collector)
     try:
         args = parser.parse_args(argv)
+        _refuse_overwrite(args)
         payload, inputs, warnings = args.handler(args)
         _write_envelope(args, payload, inputs, warnings + collector.messages)
         return 0

@@ -788,8 +788,10 @@ def build_age_panel(corpus: CitationCorpus, discipline: str, dataset_year: int,
                in enumerate(zip(totals_by_age.tolist(), observable.tolist())) if n]
     missing = np.flatnonzero(observable == 0).tolist()
     if missing:
-        log.warning("panel %s/%s: no eprints observable at ages %s",
-                    discipline, dataset_year, missing)
+        # observable never rises with age, so the missing ages are one run
+        # that ends at max_age.
+        log.warning("panel %s/%s: no eprints observable at ages %d to %d",
+                    discipline, dataset_year, missing[0], max_age)
     return AgePanel(discipline=discipline, dataset_year=dataset_year,
                     percentile_cap=percentile_cap, entries=entries, missing_ages=missing)
 

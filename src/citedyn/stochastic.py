@@ -27,8 +27,7 @@ and exponentiated straight into the block's rows, and numpy's trapezoid
 rule is taken a tile at a time, so no temporary is as large as the
 block. Every operation works row by row, so any range of paths, in
 any split into blocks or tiles, reproduces the matching rows of the full
-ensemble. The kernel is serial; `threads` and CITEDYN_THREADS are
-validated but no longer change the work.
+ensemble. The kernel is serial.
 """
 
 from __future__ import annotations
@@ -302,23 +301,9 @@ class PathEnsemble:
 
 
 def _resolve_threads(threads: int | None) -> int:
-    # Validates --threads / CITEDYN_THREADS. The kernel is serial, so the
-    # count no longer changes the work; it is still returned for callers
-    # that report it.
-    if threads is not None:
-        if threads < 1:
-            raise DomainError(f"threads must be >= 1, got {threads}")
-        return threads
-    env = os.environ.get("CITEDYN_THREADS")
-    if env:
-        try:
-            value = int(env)
-        except ValueError:
-            raise DomainError(f"CITEDYN_THREADS must be an integer, got {env!r}")
-        if value < 1:
-            raise DomainError(f"CITEDYN_THREADS must be >= 1, got {value}")
-        return value
-    return os.cpu_count() or 1
+    # Kept only for perfbench's tracer and worker, which still report a
+    # thread count (ROADMAP item 4); nothing in citedyn calls it.
+    return threads if threads is not None else os.cpu_count() or 1
 
 
 def _stream_state(seed: int, index: int) -> dict:
@@ -340,7 +325,6 @@ def simulate_ensemble(
     vol: VolatilityFit,
     config: SdeConfig,
     method: str = "exact",
-    threads: int | None = None,
     *,
     paths: range | None = None,
 ) -> PathEnsemble:
@@ -351,12 +335,10 @@ def simulate_ensemble(
     Euler-Maruyama step on X itself. paths selects which of the
     config's n_paths to simulate (default: all of them); path k draws
     from its own (seed, k) stream, so any selection reproduces the
-    matching rows of the full ensemble bit for bit. threads (or
-    CITEDYN_THREADS) is validated but does not change the work.
+    matching rows of the full ensemble bit for bit.
     """
     if method not in ("exact", "euler"):
         raise DomainError(f"method must be 'exact' or 'euler', got {method!r}")
-    _resolve_threads(threads)
     if paths is None:
         paths = range(config.n_paths)
     elif not (

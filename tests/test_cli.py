@@ -680,15 +680,14 @@ def run_simulate(tmp_path, tag, extra=()):
 
 
 def test_simulate_reproducible_byte_for_byte(tmp_path, monkeypatch):
-    _, ens_a = run_simulate(tmp_path, "a")
+    env_a, ens_a = run_simulate(tmp_path, "a")
     _, ens_b = run_simulate(tmp_path, "b")
     assert ens_a.read_bytes() == ens_b.read_bytes()
-    monkeypatch.setenv("CITEDYN_THREADS", "5")
-    _, ens_c = run_simulate(tmp_path, "c")
+    # --threads is parsed but ignored, and CITEDYN_THREADS is not read.
+    monkeypatch.setenv("CITEDYN_THREADS", "zero")
+    env_c, ens_c = run_simulate(tmp_path, "c", extra=["--threads", "0"])
     assert ens_c.read_bytes() == ens_a.read_bytes()
-    monkeypatch.delenv("CITEDYN_THREADS")
-    _, ens_d = run_simulate(tmp_path, "d", extra=["--threads", "2"])
-    assert ens_d.read_bytes() == ens_a.read_bytes()
+    assert env_c["payload"] == {**env_a["payload"], "ensemble": ens_c.name}
 
 
 # The sampler's output, pinned across versions (taken with numpy 2.4 on
@@ -889,24 +888,6 @@ def test_verify_normalizes_a_narrow_marginal(tmp_path, params_json):
 
 
 @pytest.mark.parametrize(
-    "flag, value, message",
-    [
-        ("--threads", "0", "threads must be >= 1, got 0"),
-    ],
-)
-@pytest.mark.parametrize("command", ["simulate", "verify"])
-def test_sde_flag_out_of_range_is_a_usage_error(tmp_path, params_json, capsys, command, flag, value, message):
-    out = tmp_path / "r.json"
-    code = run_command(
-        [command, "--fit", str(params_json), "--s1", "0.0281", "--s2", "0.2", flag, value]
-        + ["--out", str(out)]
-    )
-    assert code == 1
-    assert f"error: argument {flag}: {message}" in capsys.readouterr().err
-    assert not out.exists()
-
-
-@pytest.mark.parametrize(
     "flags, message",
     [
         (["--paths", "0"], "n_paths must be >= 1, got 0"),
@@ -942,18 +923,6 @@ def test_yearly_count_off_the_year_grid_is_refused_before_any_output(tmp_path, p
     assert run_command(argv) == 1
     assert "error: yearly counting needs dt to divide one year evenly\n" in capsys.readouterr().err
     assert not out.exists() and not ens.exists()
-
-
-@pytest.mark.parametrize("command", ["simulate", "verify"])
-def test_thread_env_is_validated_when_streaming(tmp_path, params_json, capsys, monkeypatch, command):
-    monkeypatch.setenv("CITEDYN_THREADS", "zero")
-    code = run_command(
-        [command, "--fit", str(params_json), "--s1", "0.0281", "--s2", "0.2"]
-        + SIM_ARGS
-        + ["--out", str(tmp_path / "r.json")]
-    )
-    assert code == 2
-    assert "error: CITEDYN_THREADS must be an integer, got 'zero'" in capsys.readouterr().err
 
 
 def test_streamed_commands_never_hold_the_whole_ensemble(tmp_path, params_json, monkeypatch):
@@ -1101,6 +1070,13 @@ def test_non_finite_vol_series_is_a_data_error(tmp_path, params_json, capsys, co
 
 
 SAMPLE_ASTRO = ["--input", str(SAMPLES / "corpus.csv"), "--discipline", "astro-ph"]
+LOCAL_ASTRO = ["--input", "c.csv", "--discipline", "astro-ph"]
+
+
+def copy_local_inputs(directory):
+    """The sample corpus, fit and volatility as c.csv, p.json and v.json."""
+    for name, local in (("corpus.csv", "c.csv"), ("params.json", "p.json"), ("vol.json", "v.json")):
+        (directory / local).write_bytes((SAMPLES / name).read_bytes())
 SAMPLE_FIT = ["--fit", str(SAMPLES / "params.json")]
 TREND_2019 = ["--first-year", "2019", "--last-year", "2019"]
 
@@ -1128,10 +1104,24 @@ TREND_2019 = ["--first-year", "2019", "--last-year", "2019"]
                   "--svg", "fig.svg"], 2, id="plot-inf-x"),
     pytest.param(["verify", *SAMPLE_FIT, "--vol", str(SAMPLES / "vol.json"), "--paths", "1"], 2,
                  id="verify-one-path"),
+    # An output that names an input is refused whatever the command.
+    pytest.param(["ingest", "--input", "c.csv", "--echo", "c.csv"], 1,
+                 id="ingest-echo-over-input"),
+    pytest.param(["fit-dist", *LOCAL_ASTRO, "--points", "c.csv"], 1,
+                 id="fit-dist-points-over-input"),
+    pytest.param(["fit-history", *LOCAL_ASTRO, "--curve", "c.csv"], 1,
+                 id="fit-history-curve-over-input"),
+    pytest.param(["gamma", *LOCAL_ASTRO, *SAMPLE_FIT, "--scores", "c.csv"], 1,
+                 id="gamma-scores-over-input"),
+    pytest.param(["reckoner", "--fit", "p.json", "--citations", "1,2", "--ages", "1,2",
+                  "--csv", "p.json"], 1, id="reckoner-csv-over-fit"),
+    pytest.param(["simulate", *SAMPLE_FIT, "--vol", "v.json", "--ensemble", "v.json"], 1,
+                 id="simulate-ensemble-over-vol"),
 ])
 def test_out_of_range_input_is_refused_before_any_output(tmp_path, monkeypatch, capsys, argv,
                                                          code):
     monkeypatch.chdir(tmp_path)
+    copy_local_inputs(tmp_path)
     (tmp_path / "summary.csv").write_text("t,mean\n0,1.5\n1,2.5\n")
     (tmp_path / "trend.csv").write_text("t,mean,x\n0,1.5,0\n1,nan,inf\n2,2.5,2\n")
     before = {path.name: path.read_bytes() for path in tmp_path.iterdir()}
@@ -1141,6 +1131,20 @@ def test_out_of_range_input_is_refused_before_any_output(tmp_path, monkeypatch, 
     assert "Traceback" not in err
     assert not (tmp_path / "r.json").exists()
     # No file is written or changed; --data keeps its bytes.
+    assert {path.name: path.read_bytes() for path in tmp_path.iterdir()} == before
+
+
+@pytest.mark.parametrize("argv", [
+    pytest.param(["ingest", "--input", "c.csv"], id="ingest-input"),
+    pytest.param(["metrics", "--fit", "p.json"], id="metrics-fit"),
+])
+def test_out_over_an_input_is_refused(tmp_path, monkeypatch, capsys, argv):
+    monkeypatch.chdir(tmp_path)
+    copy_local_inputs(tmp_path)
+    before = {path.name: path.read_bytes() for path in tmp_path.iterdir()}
+    assert run_command([*argv, "--out", argv[-1]]) == 1
+    assert f"error: --out {argv[-1]} would overwrite {argv[-2]} {argv[-1]}\n" in (
+        capsys.readouterr().err)
     assert {path.name: path.read_bytes() for path in tmp_path.iterdir()} == before
 
 

@@ -169,8 +169,7 @@ def test_readme_library_example_runs(caplog):
     # The sample corpus's earliest eprint was submitted in 2014, so the
     # 2019 panel observes no eprint past age 5.
     assert [r.getMessage() for r in caplog.records] == [
-        "panel astro-ph/2019: no eprints observable at ages "
-        f"{list(range(6, 21))}"
+        "panel astro-ph/2019: no eprints observable at ages 6 to 20"
     ]
     assert names["fit"].converged
     assert len(names["stars"]) == 4 and names["skipped"] == []

