@@ -78,11 +78,16 @@ def _json_safe(obj):
     return obj
 
 
-def _write_envelope(args, payload: dict, inputs: Sequence, warnings: list[str]) -> None:
+def _write_envelope(args, payload: dict, warnings: list[str]) -> None:
+    # Every input flag given is digested, and every artifact flag given
+    # (each output but --out) is named in the payload by its basename.
+    for name, path in _given(args, _OUTPUT_FLAGS):
+        if name != "out":
+            payload[name] = Path(path).name
     envelope = {
         "version": __version__,
         "created": datetime.now(timezone.utc).isoformat(),
-        "input_digest": {Path(p).name: _sha256(p) for p in inputs},
+        "input_digest": {Path(p).name: _sha256(p) for _, p in _given(args, _INPUT_FLAGS)},
         "subcommand": args.subcommand,
         "payload": payload,
         "warnings": warnings,
@@ -218,13 +223,7 @@ def _fit_payload(fit: historyfit.HistoryFit) -> dict:
         "percentile_cap": fit.percentile_cap,
         "n_ages": len(fit.residuals),
         "params": fit.params.to_dict(),
-        "se": {
-            "A": fit.se_A,
-            "mu": fit.se_mu,
-            "sigma": fit.se_sigma,
-            "B": fit.se_B,
-            "lambda": fit.se_lambda,
-        },
+        "se": {k: getattr(fit, f"se_{k}") for k in ("A", "mu", "sigma", "B", "lambda")},
         "r2_adj": fit.r2_adj,
         "converged": fit.converged,
         "diagnostics": fit.diagnostics.to_dict(),
@@ -250,12 +249,14 @@ def _sde_setup(args):
 
 
 # --- subcommand handlers ----------------------------------------------------
-# Each returns (payload, input_paths, warnings).
+# Each returns (payload, warnings).
 
 
 def _cmd_ingest(args):
     fmt = _sniff_format(args.input)
     if fmt == "panel-csv":
+        if args.echo:
+            raise UsageError("--echo needs long-csv input, got panel-csv")
         panels = corpus.load_corpus(args.input, "panel-csv", retrieval_year=args.retrieval_year)
         payload = {
             "format": fmt,
@@ -270,7 +271,7 @@ def _cmd_ingest(args):
                 for p in panels
             ],
         }
-        return payload, [args.input], []
+        return payload, []
 
     corp = corpus.load_corpus(args.input, "long-csv", retrieval_year=args.retrieval_year)
     disciplines = corp.discipline_names
@@ -289,8 +290,7 @@ def _cmd_ingest(args):
         }
     if args.echo:
         corpus.write_long_csv(corp, args.echo)
-        payload["echo"] = Path(args.echo).name
-    return payload, [args.input], []
+    return payload, []
 
 
 def _cmd_fit_dist(args):
@@ -315,8 +315,7 @@ def _cmd_fit_dist(args):
         payload["power_law"] = dataclasses.asdict(fit)
     if args.points:
         distfit.write_quantile_csv(series, args.points)
-        payload["points"] = Path(args.points).name
-    return payload, [args.input], []
+    return payload, []
 
 
 def _select_panel(panels, discipline, dataset_year):
@@ -358,8 +357,7 @@ def _cmd_fit_history(args):
     payload = _fit_payload(fit)
     if args.curve:
         historyfit.write_curve_csv(fit.params, args.curve, t_max=float(max(panel.ages)))
-        payload["curve"] = Path(args.curve).name
-    return payload, [args.input], []
+    return payload, []
 
 
 def _cmd_metrics(args):
@@ -373,7 +371,7 @@ def _cmd_metrics(args):
     if args.horizons:
         for T in _parse_number_list(args.horizons, "--horizons"):
             payload["splits"].append(dataclasses.asdict(historyfit.cumulative_split(params, T)))
-    return payload, [args.fit], []
+    return payload, []
 
 
 def _cmd_trend(args):
@@ -394,8 +392,7 @@ def _cmd_trend(args):
     }
     if args.csv:
         write_csv(args.csv, historyfit.TrendPoint._fields, points)
-        payload["csv"] = Path(args.csv).name
-    return payload, [args.input], []
+    return payload, []
 
 
 def _summary_stats(values) -> dict:
@@ -428,8 +425,7 @@ def _cmd_gamma(args):
     }
     if args.scores:
         gamma.write_scores_csv(scores, stars, args.scores)
-        payload["scores"] = Path(args.scores).name
-    return payload, [args.input, args.fit], warnings
+    return payload, warnings
 
 
 def _cmd_reckoner(args):
@@ -444,8 +440,7 @@ def _cmd_reckoner(args):
     payload = dataclasses.asdict(reck)
     if args.csv:
         gamma.write_reckoner_csv(reck, args.csv)
-        payload["csv"] = Path(args.csv).name
-    return payload, [args.fit], []
+    return payload, []
 
 
 def _cmd_simulate(args):
@@ -468,9 +463,7 @@ def _cmd_simulate(args):
     payload["method"] = args.method
     payload["x0"] = historyfit.eval_history(params, 0.0)  # every path starts at u(0)
     payload["count_summary"] = _summary_stats(np.concatenate(counts))
-    if args.ensemble:
-        payload["ensemble"] = Path(args.ensemble).name
-    return payload, [args.fit] + [p for p in (args.vol, args.vol_series) if p is not None], []
+    return payload, []
 
 
 def _cmd_verify(args):
@@ -478,7 +471,7 @@ def _cmd_verify(args):
     payload["checks"] = stochastic.verify_ensemble(params, vol, config)
     payload["overall_pass"] = all(c["pass"] for c in payload["checks"])
     warnings = [] if payload["overall_pass"] else ["one or more verification checks failed"]
-    return payload, [args.fit] + [p for p in (args.vol, args.vol_series) if p is not None], warnings
+    return payload, warnings
 
 
 # --- plotting ---------------------------------------------------------------
@@ -627,9 +620,8 @@ def _cmd_plot(args):
             col, s_style = token, None
         series.append(PlotSeries(label=col, x=x, y=numeric(col), style=s_style))
 
-    svg_path, csv_path = emit_plot(series, style=args.style, out=args.svg)
+    _, csv_path = emit_plot(series, style=args.style, out=args.svg)
     payload = {
-        "svg": Path(svg_path).name,
         "csv": Path(csv_path).name,
         "x": args.x,
         "series": [
@@ -637,7 +629,7 @@ def _cmd_plot(args):
             for s in series
         ],
     }
-    return payload, [args.data], []
+    return payload, []
 
 
 # --- argument parsing -------------------------------------------------------
@@ -752,11 +744,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--fit", required=True, help="fit envelope or bare parameter JSON")
     _add_vol_flags(p)
     _add_sde_flags(p)
-    p.add_argument("--method", choices=("exact", "euler"), default="exact")
+    p.add_argument("--method", choices=stochastic.METHODS, default="exact")
     p.add_argument("--ensemble", help="write the ensemble CSV here")
     p.add_argument(
         "--ensemble-mode",
-        choices=("paths", "summary"),
+        choices=stochastic.ENSEMBLE_MODES,
         default="paths",
         help="ensemble CSV layout (default paths)",
     )
@@ -782,25 +774,41 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# Each file flag's role, stated only here: inputs are digested, outputs refused on a clash.
 _INPUT_FLAGS = ("input", "fit", "vol", "vol_series", "data")
 _OUTPUT_FLAGS = ("out", "echo", "points", "curve", "csv", "scores", "ensemble", "svg")
 
 
+def _given(args, names) -> list:
+    """(flag, value) for each of names that args holds a value for."""
+    return [(name, value) for name in names if (value := getattr(args, name, None))]
+
+
+def _flag(args, name) -> str:
+    return f"--{name.replace('_', '-')} {getattr(args, name)}"
+
+
 def _refuse_overwrite(args) -> None:
-    # No output may replace an input, before anything is read or written.
-    # Path.resolve follows symlinks only; hard links are not detected.
-    inputs = {Path(value).resolve(): name for name in _INPUT_FLAGS
-              if (value := getattr(args, name, None))}
-    outputs = [(name, getattr(args, name, None)) for name in _OUTPUT_FLAGS]
+    # Before anything is read or written: two different inputs may not
+    # share the basename that keys their digest, and no output may replace
+    # an input or another output. Path.resolve follows symlinks only; hard
+    # links are not detected.
+    taken, keyed = {}, {}
+    for name, value in _given(args, _INPUT_FLAGS):
+        path = Path(value).resolve()
+        taken[path] = name
+        first = keyed.setdefault(Path(value).name, name)
+        if Path(getattr(args, first)).resolve() != path:
+            raise UsageError(f"{_flag(args, name)} and {_flag(args, first)} are "
+                             f"different files with one basename, which keys input_digest")
+    outputs = _given(args, _OUTPUT_FLAGS)
     if getattr(args, "svg", None):
         outputs.append(("svg", Path(args.svg).with_suffix(".csv")))  # plot's sibling CSV
-    for name, path in outputs:
-        source = inputs.get(Path(path).resolve()) if path else None
-        if source:
-            raise UsageError(
-                f"--{name} {getattr(args, name)} would overwrite "
-                f"--{source.replace('_', '-')} {getattr(args, source)}"
-            )
+    for name, value in outputs:
+        path = Path(value).resolve()
+        if path in taken:
+            raise UsageError(f"{_flag(args, name)} would overwrite {_flag(args, taken[path])}")
+        taken[path] = name
 
 
 def run_command(argv: Sequence[str] | None = None) -> int:
@@ -812,8 +820,8 @@ def run_command(argv: Sequence[str] | None = None) -> int:
     try:
         args = parser.parse_args(argv)
         _refuse_overwrite(args)
-        payload, inputs, warnings = args.handler(args)
-        _write_envelope(args, payload, inputs, warnings + collector.messages)
+        payload, warnings = args.handler(args)
+        _write_envelope(args, payload, warnings + collector.messages)
         return 0
     except UsageError as exc:
         sys.stderr.write(parser.format_usage())

@@ -755,15 +755,11 @@ def build_age_panel(corpus: CitationCorpus, discipline: str, dataset_year: int,
     0..(dataset_year - submit_year); u_i is the integer citation sum at
     age i divided by the number of eprints observable at that age.
     max_age lies in [1, MAX_YEAR - MIN_SUBMIT_YEAR]: no eprint can reach an
-    older age.
+    older age. citation_totals refuses a dataset_year past the retrieval
+    year, and AgePanel a percentile_cap outside (0, 1].
     """
-    if dataset_year > corpus.retrieval_year:
-        raise DomainError(f"dataset_year {dataset_year} exceeds retrieval_year "
-                          f"{corpus.retrieval_year}")
     if not 1 <= max_age <= MAX_YEAR - MIN_SUBMIT_YEAR:
         raise DomainError(f"max_age must lie in [1, {MAX_YEAR - MIN_SUBMIT_YEAR}], got {max_age}")
-    if not 0.0 < percentile_cap <= 1.0:
-        raise DomainError(f"percentile_cap must lie in (0, 1], got {percentile_cap}")
 
     members = corpus.members(discipline)
     members = members[corpus.submit_years[members] <= dataset_year]
@@ -810,13 +806,7 @@ def build_trend_subsets(corpus: CitationCorpus, discipline: str, first_year: int
     submits = corpus.submit_years[corpus.members(discipline)]
     panels = []
     for year in range(first_year, last_year + 1):
-        if max_age is None:
-            included = submits[submits <= year]
-            if not included.size:
-                raise DataError(f"no eprints in {discipline!r} submitted by {year}")
-            age_span = max(1, year - int(included.min()))
-        else:
-            age_span = max_age
+        age_span = max(1, year - int(submits.min())) if max_age is None else max_age
         panels.append(build_age_panel(corpus, discipline, year, percentile_cap, age_span))
     return panels
 

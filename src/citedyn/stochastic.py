@@ -72,6 +72,8 @@ __all__ = [
 ]
 
 COUNTING_MODES = ("integral-floor", "yearly-floor-sum")
+METHODS = ("exact", "euler")  # simulate_ensemble's samplers
+ENSEMBLE_MODES = ("paths", "summary")  # write_ensemble_csv's layouts
 
 # Paths per streamed block: ensemble_blocks' unit.
 BLOCK_PATHS = 256
@@ -337,7 +339,7 @@ def simulate_ensemble(
     from its own (seed, k) stream, so any selection reproduces the
     matching rows of the full ensemble bit for bit.
     """
-    if method not in ("exact", "euler"):
+    if method not in METHODS:
         raise DomainError(f"method must be 'exact' or 'euler', got {method!r}")
     if paths is None:
         paths = range(config.n_paths)
@@ -570,8 +572,7 @@ def expected_log_factor(half_width: float) -> float:
 def variance_log_factor(half_width: float) -> float:
     """Var[ln(1 + eps)] for eps uniform on [-b, b]."""
     b = half_width
-    if not 0 <= b < 1:
-        raise DomainError(f"half_width must be in [0, 1), got {b}")
+    first = expected_log_factor(b)  # refuses a b outside [0, 1)
     if b == 0:
         return 0.0
 
@@ -581,7 +582,6 @@ def variance_log_factor(half_width: float) -> float:
         return x * (lx * lx - 2 * lx + 2)
 
     second = (antideriv(1 + b) - antideriv(1 - b)) / (2 * b)
-    first = expected_log_factor(b)
     return second - first * first
 
 
@@ -686,7 +686,7 @@ def write_ensemble_csv(
     rows, a path per write: its cells are ints and float reprs, which
     csv.writer writes unquoted, so the bytes are those csv.writer writes.
     """
-    if mode not in ("paths", "summary"):
+    if mode not in ENSEMBLE_MODES:
         raise DomainError(f"mode must be 'paths' or 'summary', got {mode!r}")
     single = isinstance(ensemble, PathEnsemble)
     if mode == "summary":

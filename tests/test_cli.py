@@ -346,6 +346,16 @@ def test_fit_dist_rejects_a_meaningless_power_law_flag(tmp_path, capsys, flag, v
     assert not out.exists()
 
 
+def test_ingest_refuses_an_echo_of_panel_csv(tmp_path, capsys):
+    # Only a long-csv corpus is echoed; the envelope would name a file never written.
+    echo, out = tmp_path / "echo.csv", tmp_path / "r.json"
+    argv = ["ingest", "--input", str(SAMPLES / "panel.csv"), "--echo", str(echo),
+            "--out", str(out)]
+    assert run_command(argv) == 1
+    assert "error: --echo needs long-csv input, got panel-csv\n" in capsys.readouterr().err
+    assert not echo.exists() and not out.exists()
+
+
 def test_fit_history_from_panel_csv(tmp_path):
     panel_path = tmp_path / "panel.csv"
     corpus.write_panel_csv([make_panel(ASTRO)], panel_path)
@@ -397,6 +407,23 @@ def test_fit_history_rejects_a_cap_outside_the_unit_interval_on_a_panel_csv(tmp_
             "--cap", cap, "--out", str(out)]
     assert run_command(argv) == 2
     assert f"percentile_cap must lie in (0, 1], got {float(cap)}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_fit_history_selects_a_panel_csv_panel_by_dataset_year(tmp_path, capsys):
+    panel_path = tmp_path / "panel.csv"
+    corpus.write_panel_csv([make_panel(ASTRO, dataset_year=2018),
+                            make_panel(params_for("comp-sci"), dataset_year=2019)], panel_path)
+    out = tmp_path / "r.json"
+    argv = ["fit-history", "--input", str(panel_path), "--discipline", "synthetic",
+            "--out", str(out)]
+    assert run_command([*argv, "--dataset-year", "2018"]) == 0
+    payload = read_envelope(out)["payload"]
+    assert payload["dataset_year"] == 2018
+    assert payload["params"]["A"] == pytest.approx(ASTRO.A, rel=0.01)
+    out.unlink()
+    assert run_command([*argv, "--dataset-year", "2017"]) == 2
+    assert "error: no panel for 'synthetic' at dataset year 2017\n" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -1146,6 +1173,76 @@ def test_out_over_an_input_is_refused(tmp_path, monkeypatch, capsys, argv):
     assert f"error: --out {argv[-1]} would overwrite {argv[-2]} {argv[-1]}\n" in (
         capsys.readouterr().err)
     assert {path.name: path.read_bytes() for path in tmp_path.iterdir()} == before
+
+
+@pytest.mark.parametrize("argv, message", [
+    pytest.param(["ingest", "--input", "c.csv", "--echo", "r.json", "--out", "r.json"],
+                 "--echo r.json would overwrite --out r.json", id="ingest-echo-over-out"),
+    pytest.param(["simulate", "--fit", "p.json", "--vol", "v.json", "--dt", "0.5",
+                  "--paths", "10", "--ensemble", "e.csv", "--out", "e.csv"],
+                 "--ensemble e.csv would overwrite --out e.csv", id="simulate-ensemble-over-out"),
+    pytest.param(["plot", "--data", "summary.csv", "--x", "t", "--y", "mean",
+                  "--svg", "fig.svg", "--out", "fig.csv"],
+                 "--svg fig.svg would overwrite --out fig.csv", id="plot-sibling-csv-over-out"),
+    pytest.param(["plot", "--data", "summary.csv", "--x", "t", "--y", "mean",
+                  "--svg", "fig.csv", "--out", "r.json"],
+                 "--svg fig.csv would overwrite --svg fig.csv", id="plot-sibling-csv-over-svg"),
+])
+def test_two_outputs_on_one_file_are_refused(tmp_path, monkeypatch, capsys, argv, message):
+    monkeypatch.chdir(tmp_path)
+    copy_local_inputs(tmp_path)
+    (tmp_path / "summary.csv").write_text("t,mean\n0,1.5\n1,2.5\n")
+    before = {path.name: path.read_bytes() for path in tmp_path.iterdir()}
+    assert run_command(argv) == 1
+    assert f"error: {message}\n" in capsys.readouterr().err
+    assert {path.name: path.read_bytes() for path in tmp_path.iterdir()} == before
+
+
+def test_two_inputs_with_one_basename_are_refused(tmp_path, monkeypatch, capsys):
+    # input_digest is keyed by basename, so one of the two digests would be lost.
+    monkeypatch.chdir(tmp_path)
+    for name, local in (("params.json", "a/p.json"), ("vol.json", "b/p.json")):
+        (tmp_path / local).parent.mkdir()
+        (tmp_path / local).write_bytes((SAMPLES / name).read_bytes())
+    before = sorted(tmp_path.rglob("*"))
+    argv = ["verify", "--fit", "a/p.json", "--vol", "b/p.json", "--dt", "0.5", "--paths", "100",
+            "--out", "r.json"]
+    assert run_command(argv) == 1
+    assert ("error: --vol b/p.json and --fit a/p.json are different files with one basename, "
+            "which keys input_digest\n") in capsys.readouterr().err
+    assert sorted(tmp_path.rglob("*")) == before
+
+
+def test_one_input_under_two_flags_is_digested_once(tmp_path, monkeypatch):
+    # A verify envelope carries both the parameters and the volatility.
+    monkeypatch.chdir(tmp_path)
+    copy_local_inputs(tmp_path)
+    sde = ["--dt", "0.5", "--paths", "100"]
+    assert run_command(["verify", "--fit", "p.json", "--vol", "v.json", *sde,
+                        "--out", "env.json"]) == 0
+    assert run_command(["verify", "--fit", "env.json", "--vol", "./env.json", *sde,
+                        "--out", "r.json"]) == 0
+    digest = hashlib.sha256((tmp_path / "env.json").read_bytes()).hexdigest()
+    assert read_envelope(tmp_path / "r.json")["input_digest"] == {"env.json": digest}
+
+
+def test_every_option_is_classified():
+    # A file flag's role (input or output) is stated only in cli's two
+    # tables; every other option must be known not to name a file.
+    non_file = {
+        "help", "retrieval_year", "percentiles", "discipline", "dataset_year", "exclude_zero",
+        "model", "q_min", "theta", "cap", "max_age", "weighted", "horizons", "first_year",
+        "last_year", "citations", "ages", "s1", "s2", "dt", "horizon", "paths", "seed",
+        "counting", "threads", "method", "ensemble_mode", "x", "y", "style",
+    }
+    subparsers = next(a for a in cli.build_parser()._actions
+                      if isinstance(a, argparse._SubParsersAction))
+    options = {action.dest for parser in subparsers.choices.values()
+               for action in parser._actions}
+    file_flags = set(cli._INPUT_FLAGS) | set(cli._OUTPUT_FLAGS)
+    assert not file_flags & non_file
+    assert file_flags <= options
+    assert options - file_flags == non_file
 
 
 def test_help_and_version_exit_cleanly(capsys):

@@ -1131,6 +1131,37 @@ def test_panel_csv_errors(tmp_path):
         load_corpus(path2, "panel-csv")
 
 
+@pytest.mark.parametrize("row, fault", [
+    (["", 2019, 0, 5, 5], "empty discipline"),
+    (["x", 2019, -1, 5, 5], "negative age -1"),
+    (["x", 2019, 0, 5, -5], "negative total_citations -5"),
+])
+def test_panel_csv_row_faults(tmp_path, row, fault):
+    path = tmp_path / "panels.csv"
+    write_rows(path, [["x", 2019, 1, 5, 5], row], header=corpus_mod.PANEL_CSV_COLUMNS)
+    with pytest.raises(DataError) as err:
+        load_corpus(path, "panel-csv")
+    assert str(err.value) == f"row 3: {fault}"
+
+
+def test_panel_csv_header_only(tmp_path):
+    path = tmp_path / "panels.csv"
+    write_rows(path, [], header=corpus_mod.PANEL_CSV_COLUMNS)
+    with pytest.raises(DataError) as err:
+        load_corpus(path, "panel-csv")
+    assert str(err.value) == f"{path}: no data rows"
+
+
+def test_panel_csv_missing_ages_warning(tmp_path, caplog):
+    path = tmp_path / "panels.csv"
+    write_rows(path, [["x", 2019, 0, 5, 5], ["x", 2019, 3, 5, 5]],
+               header=corpus_mod.PANEL_CSV_COLUMNS)
+    with caplog.at_level(logging.WARNING, logger="citedyn.corpus"):
+        (panel,) = load_corpus(path, "panel-csv")
+    assert caplog.messages == ["panel x/2019: ages [1, 2] missing"]
+    assert panel.missing_ages == (1, 2)
+
+
 def test_panel_csv_integer_cells_follow_the_long_csv_grammar(tmp_path):
     path = tmp_path / "panels.csv"
     write_rows(path, [["x", "2_019", " 0 ", "٣", 6]], header=corpus_mod.PANEL_CSV_COLUMNS)
