@@ -118,8 +118,6 @@ def _parse_number_list(text: str, flag: str) -> list[float]:
                 out.append(float(token))
             except ValueError:
                 raise UsageError(f"{flag}: not a number: {token!r}")
-    if not out:
-        raise UsageError(f"{flag}: no values given")
     return out
 
 
@@ -185,24 +183,32 @@ def _load_vol(args) -> stochastic.VolatilityFit:
         except (KeyError, TypeError, ValueError) as exc:
             raise DataError(f"{args.vol}: no usable volatility parameters ({exc})")
     if args.vol_series is not None:
-        return stochastic.fit_volatility(_read_vol_series(args.vol_series))
+        columns = _float_columns(args.vol_series, ("t", "m"),
+                                 lambda _: DataError(f"{args.vol_series}: expected columns t,m"))
+        return stochastic.fit_volatility(zip(columns["t"], columns["m"]))
     if args.s1 is None or args.s2 is None:
         raise UsageError("--s1 and --s2 must be given together")
     return stochastic.volatility(args.s1, args.s2)
 
 
-def _read_vol_series(path) -> list[tuple[float, float]]:
+def _float_columns(path, names, missing) -> dict[str, list[float]]:
+    """The named columns of a CSV with a header row, as floats; missing(name)
+    is the error raised for a column the header lacks."""
     with open_csv(path) as fh:
         reader = csv.DictReader(fh)
-        if reader.fieldnames is None or not {"t", "m"} <= set(reader.fieldnames):
-            raise DataError(f"{path}: expected columns t,m")
-        pairs = []
+        if reader.fieldnames is None:
+            raise DataError(f"{path}: empty file")
+        columns = {name: [] for name in names}
+        for name in columns:
+            if name not in reader.fieldnames:
+                raise missing(name)
         for row_no, row in enumerate(reader, start=2):
-            try:
-                pairs.append((float(row["t"]), float(row["m"])))
-            except (TypeError, ValueError):
-                raise DataError(f"{path}: row {row_no}: non-numeric t or m")
-    return pairs
+            for name, column in columns.items():
+                try:
+                    column.append(float(row[name]))
+                except (TypeError, ValueError):
+                    raise DataError(f"{path}: row {row_no}: column {name!r} is not numeric")
+    return columns
 
 
 class _WarningCollector(logging.Handler):
@@ -255,8 +261,9 @@ def _sde_setup(args):
 def _cmd_ingest(args):
     fmt = _sniff_format(args.input)
     if fmt == "panel-csv":
-        if args.echo:
-            raise UsageError("--echo needs long-csv input, got panel-csv")
+        for name in ("echo", "percentiles"):
+            if getattr(args, name):
+                raise UsageError(f"--{name} needs long-csv input, got panel-csv")
         panels = corpus.load_corpus(args.input, "panel-csv", retrieval_year=args.retrieval_year)
         payload = {
             "format": fmt,
@@ -477,6 +484,14 @@ def _cmd_verify(args):
 # --- plotting ---------------------------------------------------------------
 
 
+_PLOT_STYLES = ("line", "scatter")
+
+
+def _check_style(style) -> None:
+    if style not in _PLOT_STYLES:
+        raise UsageError(f"style must be {' or '.join(map(repr, _PLOT_STYLES))}, got {style!r}")
+
+
 class PlotSeries(NamedTuple):
     label: str
     x: Sequence[float]
@@ -494,8 +509,7 @@ def emit_plot(series: Sequence[PlotSeries], style: str = "line", *, out):
     with a NaN or infinite coordinate, which SVG cannot place, raises
     DataError.
     """
-    if style not in ("line", "scatter"):
-        raise UsageError(f"style must be 'line' or 'scatter', got {style!r}")
+    _check_style(style)
     series = list(series)
     if not series:
         raise DataError("nothing to plot")
@@ -506,8 +520,8 @@ def emit_plot(series: Sequence[PlotSeries], style: str = "line", *, out):
             raise InsufficientDataError(f"series {s.label!r} has fewer than 2 points")
         if not all(map(math.isfinite, [*s.x, *s.y])):
             raise DataError(f"series {s.label!r} has a non-finite point")
-        if s.style not in (None, "line", "scatter"):
-            raise UsageError(f"series {s.label!r}: unknown style {s.style!r}")
+        if s.style is not None:
+            _check_style(s.style)
 
     x_lo, x_hi = min(min(s.x) for s in series), max(max(s.x) for s in series)
     y_lo, y_hi = min(min(s.y) for s in series), max(max(s.y) for s in series)
@@ -586,39 +600,21 @@ def emit_plot(series: Sequence[PlotSeries], style: str = "line", *, out):
 
 
 def _cmd_plot(args):
-    with open_csv(args.data) as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is None:
-            raise DataError(f"{args.data}: empty file")
-        columns = {name: [] for name in reader.fieldnames}
-        for row in reader:
-            for name in reader.fieldnames:
-                columns[name].append(row[name])
-
-    def numeric(col: str) -> list[float]:
-        if col not in columns:
-            raise UsageError(f"--data has no column {col!r}")
-        out = []
-        for i, raw in enumerate(columns[col], start=2):
-            try:
-                out.append(float(raw))
-            except (TypeError, ValueError):
-                raise DataError(f"{args.data}: row {i}: column {col!r} is not numeric")
-        return out
-
-    x = numeric(args.x)
-    series = []
+    # Every --y spec is parsed before --data is read, so a bad spec (exit 1)
+    # is reported ahead of a bad cell (exit 2).
+    specs = []
     for token in args.y.split(","):
         token = token.strip()
         if not token:
             raise UsageError(f"--y: empty element in {args.y!r}")
-        if "=" in token:
-            col, s_style = token.split("=", 1)
-            if s_style not in ("line", "scatter"):
-                raise UsageError(f"--y: unknown style {s_style!r} for {col!r}")
-        else:
-            col, s_style = token, None
-        series.append(PlotSeries(label=col, x=x, y=numeric(col), style=s_style))
+        col, sep, s_style = token.partition("=")
+        if sep:
+            _check_style(s_style)
+        specs.append((col, s_style or None))
+    columns = _float_columns(args.data, [args.x, *(col for col, _ in specs)],
+                             lambda col: UsageError(f"--data has no column {col!r}"))
+    series = [PlotSeries(label=col, x=columns[args.x], y=columns[col], style=s_style)
+              for col, s_style in specs]
 
     _, csv_path = emit_plot(series, style=args.style, out=args.svg)
     payload = {
@@ -673,16 +669,19 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="subcommand", metavar="SUBCOMMAND")
     sub.required = True
+    out = argparse.ArgumentParser(add_help=False)
+    out.add_argument("--out", required=True, help="result envelope JSON")
+    fit = argparse.ArgumentParser(add_help=False)
+    fit.add_argument("--fit", required=True, help="fit envelope or bare parameter JSON")
 
-    p = sub.add_parser("ingest", parents=[], help="validate a corpus file and summarize it")
+    p = sub.add_parser("ingest", parents=[out], help="validate a corpus file and summarize it")
     p.add_argument("--input", required=True, help="corpus CSV")
     p.add_argument("--retrieval-year", type=int, help="override the derived retrieval year (long-csv)")
     p.add_argument("--percentiles", help="comma list of percentile levels to report, e.g. 0.5,0.9,0.99")
     p.add_argument("--echo", help="write the normalized corpus back out as long-csv")
-    p.add_argument("--out", required=True, help="result envelope JSON")
     p.set_defaults(handler=_cmd_ingest)
 
-    p = sub.add_parser("fit-dist", help="fit citation-count distribution models on the quantile scale")
+    p = sub.add_parser("fit-dist", parents=[out], help="fit citation-count distribution models on the quantile scale")
     p.add_argument("--input", required=True, help="long-csv corpus")
     p.add_argument("--discipline", required=True)
     p.add_argument("--dataset-year", type=int, help="count citations through this year (default: lifetime)")
@@ -691,10 +690,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--q-min", type=float, default=0.5, help="lower quantile bound for the power-law tail fit (default 0.5)")
     p.add_argument("--theta", type=float, default=None, help="power-law shift parameter (default 1)")
     p.add_argument("--points", help="write the quantile series CSV here")
-    p.add_argument("--out", required=True, help="result envelope JSON")
     p.set_defaults(handler=_cmd_fit_dist)
 
-    p = sub.add_parser("fit-history", help="fit the yearly-rate history model to an age panel")
+    p = sub.add_parser("fit-history", parents=[out], help="fit the yearly-rate history model to an age panel")
     p.add_argument("--input", required=True, help="long-csv corpus or panel-csv aggregate")
     p.add_argument("--discipline", required=True)
     p.add_argument("--dataset-year", type=int, help="cut year (default: latest available)")
@@ -702,16 +700,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-age", type=int, default=DEFAULT_MAX_AGE, help=f"largest age to fit (default {DEFAULT_MAX_AGE})")
     p.add_argument("--weighted", action="store_true", help="weight ages by sqrt(population)")
     p.add_argument("--curve", help="write the fitted curve samples CSV here")
-    p.add_argument("--out", required=True, help="result envelope JSON")
     p.set_defaults(handler=_cmd_fit_history)
 
-    p = sub.add_parser("metrics", help="closed-form metrics from a fitted history curve")
-    p.add_argument("--fit", required=True, help="fit envelope or bare parameter JSON")
+    p = sub.add_parser("metrics", parents=[fit, out], help="closed-form metrics from a fitted history curve")
     p.add_argument("--horizons", help="comma list / a:b range of horizons for cumulative splits")
-    p.add_argument("--out", required=True, help="result envelope JSON")
     p.set_defaults(handler=_cmd_metrics)
 
-    p = sub.add_parser("trend", help="refit a discipline year by year and track its metrics")
+    p = sub.add_parser("trend", parents=[out], help="refit a discipline year by year and track its metrics")
     p.add_argument("--input", required=True, help="long-csv corpus")
     p.add_argument("--discipline", required=True)
     p.add_argument("--first-year", type=int, required=True)
@@ -719,29 +714,23 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--cap", type=float, default=DEFAULT_CAP, help=f"percentile cap (default {DEFAULT_CAP})")
     p.add_argument("--max-age", type=int, help="fixed age span per panel (default: full window)")
     p.add_argument("--csv", help="write the trend table CSV here")
-    p.add_argument("--out", required=True, help="result envelope JSON")
     p.set_defaults(handler=_cmd_trend)
 
-    p = sub.add_parser("gamma", help="score eprints against their discipline's fitted curve")
+    p = sub.add_parser("gamma", parents=[fit, out], help="score eprints against their discipline's fitted curve")
     p.add_argument("--input", required=True, help="long-csv corpus")
     p.add_argument("--discipline", required=True)
-    p.add_argument("--fit", required=True, help="fit envelope or bare parameter JSON")
     p.add_argument("--dataset-year", type=int, help="evaluation year (default: retrieval year)")
     p.add_argument("--scores", help="write per-eprint scores CSV here")
-    p.add_argument("--out", required=True, help="result envelope JSON")
     p.set_defaults(handler=_cmd_gamma)
 
-    p = sub.add_parser("reckoner", help="tabulate the index over a citations x ages grid")
-    p.add_argument("--fit", required=True, help="fit envelope or bare parameter JSON")
+    p = sub.add_parser("reckoner", parents=[fit, out], help="tabulate the index over a citations x ages grid")
     p.add_argument("--citations", required=True, help="comma list / a:b range of citation levels")
     p.add_argument("--ages", required=True, help="comma list / a:b range of ages")
     p.add_argument("--discipline", help="row label (default: taken from the fit envelope)")
     p.add_argument("--csv", help="write the reckoner table CSV here")
-    p.add_argument("--out", required=True, help="result envelope JSON")
     p.set_defaults(handler=_cmd_reckoner)
 
-    p = sub.add_parser("simulate", help="simulate stochastic rate paths around a fitted curve")
-    p.add_argument("--fit", required=True, help="fit envelope or bare parameter JSON")
+    p = sub.add_parser("simulate", parents=[fit, out], help="simulate stochastic rate paths around a fitted curve")
     _add_vol_flags(p)
     _add_sde_flags(p)
     p.add_argument("--method", choices=stochastic.METHODS, default="exact")
@@ -752,23 +741,19 @@ def build_parser() -> argparse.ArgumentParser:
         default="paths",
         help="ensemble CSV layout (default paths)",
     )
-    p.add_argument("--out", required=True, help="result envelope JSON")
     p.set_defaults(handler=_cmd_simulate)
 
-    p = sub.add_parser("verify", help="run the stochastic-model property checks")
-    p.add_argument("--fit", required=True, help="fit envelope or bare parameter JSON")
+    p = sub.add_parser("verify", parents=[fit, out], help="run the stochastic-model property checks")
     _add_vol_flags(p)
     _add_sde_flags(p)
-    p.add_argument("--out", required=True, help="verification report envelope JSON")
     p.set_defaults(handler=_cmd_verify)
 
-    p = sub.add_parser("plot", help="render CSV columns to a standalone SVG figure")
+    p = sub.add_parser("plot", parents=[out], help="render CSV columns to a standalone SVG figure")
     p.add_argument("--data", required=True, help="input CSV with a header row")
     p.add_argument("--x", required=True, help="column for the horizontal axis")
     p.add_argument("--y", required=True, help="comma list of columns, each optionally col=line|scatter")
-    p.add_argument("--style", choices=("line", "scatter"), default="line", help="default series style")
+    p.add_argument("--style", choices=_PLOT_STYLES, default="line", help="default series style")
     p.add_argument("--svg", required=True, help="output SVG path (sibling CSV written next to it)")
-    p.add_argument("--out", required=True, help="result envelope JSON")
     p.set_defaults(handler=_cmd_plot)
 
     return parser

@@ -30,7 +30,7 @@ from .errors import (
     DomainError,
     InsufficientDataError,
 )
-from .historyfit import HistoryParams, cumulative_split
+from .historyfit import _SQRT_2PI, HistoryParams, cumulative_split
 
 __all__ = [
     "GammaScore",
@@ -56,8 +56,6 @@ __all__ = [
 RANK_CLAMP = (0.001, 0.999)
 
 KDE_GRID_SIZE = 512
-
-_SQRT_2PI = math.sqrt(2.0 * math.pi)
 
 
 # --- the index --------------------------------------------------------------

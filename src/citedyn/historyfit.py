@@ -239,13 +239,18 @@ def _components(params: HistoryParams, t: np.ndarray) -> tuple[np.ndarray, np.nd
     return jump, base
 
 
+def _ages(t) -> np.ndarray:
+    """Ages t as a float array, refusing a negative one."""
+    ta = np.asarray(t, dtype=float)
+    if np.any(ta < 0):
+        raise DomainError(f"age must be non-negative, got {t!r}")
+    return ta
+
+
 def eval_history(params: HistoryParams, t):
     """Yearly citation rate u(t) at age t >= 0 (scalar or array)."""
     scalar = np.ndim(t) == 0
-    ta = np.atleast_1d(np.asarray(t, dtype=float))
-    if np.any(ta < 0):
-        raise DomainError(f"age must be non-negative, got {t!r}")
-    jump, base = _components(params, ta)
+    jump, base = _components(params, np.atleast_1d(_ages(t)))
     out = jump + base
     return float(out[0]) if scalar else out
 

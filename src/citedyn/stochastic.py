@@ -48,7 +48,8 @@ from .errors import (
     InsufficientDataError,
     InvalidInputError,
 )
-from .historyfit import HistoryParams, _json_number, _lognormal_density, eval_history
+from .historyfit import (HistoryParams, _ages, _json_number, _lognormal_density,
+                         eval_history, least_squares)
 
 __all__ = [
     "VolatilityFit",
@@ -146,19 +147,13 @@ def volatility(s1: float, s2: float) -> VolatilityFit:
 
 def beta_star(t, vol: VolatilityFit):
     """Instantaneous volatility sqrt(s2/(t+s1)) at age t >= 0."""
-    ta = np.asarray(t, dtype=float)
-    if np.any(ta < 0):
-        raise DomainError(f"age must be non-negative, got {t!r}")
-    out = np.sqrt(vol.s2 / (ta + vol.s1))
+    out = np.sqrt(vol.s2 / (_ages(t) + vol.s1))
     return float(out) if np.ndim(t) == 0 else out
 
 
 def log_variance(t, vol: VolatilityFit):
     """Accumulated log-variance s2 ln(t/s1 + 1) at age t >= 0."""
-    ta = np.asarray(t, dtype=float)
-    if np.any(ta < 0):
-        raise DomainError(f"age must be non-negative, got {t!r}")
-    out = vol.s2 * np.log1p(ta / vol.s1)
+    out = vol.s2 * np.log1p(_ages(t) / vol.s1)
     return float(out) if np.ndim(t) == 0 else out
 
 
@@ -204,8 +199,6 @@ def fit_volatility(m_series) -> VolatilityFit:
         # well-defined (inf) and the solver backs off on its own
         with np.errstate(divide="ignore", over="ignore"):
             return np.sqrt(s2 * np.log1p(t / s1)) - m
-
-    from scipy.optimize import least_squares
 
     res = least_squares(resid, x0=[math.log(s1_0), math.log(s2_0)])
     if not res.success:
@@ -356,8 +349,9 @@ def simulate_ensemble(
     grid = np.arange(n_steps + 1, dtype=float) * config.dt
     u = np.atleast_1d(eval_history(params, grid))
     if not np.all(u > 0):
-        # Unreachable for positive (A, B), but the sampler's log increments
-        # depend on it, so it is checked rather than assumed.
+        # The sampler's log increments need u > 0. Positive (A, B) do not
+        # ensure it: at t = 0 the baseline is 0, and a jump density far
+        # from its mode (say mu = 40, sigma = 0.5) underflows to 0.
         raise InvalidInputError("mean curve is not positive everywhere on the grid")
     x0 = float(u[0])
 

@@ -2,6 +2,7 @@
 
 import argparse
 import csv
+import dataclasses
 import hashlib
 import json
 import math
@@ -356,6 +357,16 @@ def test_ingest_refuses_an_echo_of_panel_csv(tmp_path, capsys):
     assert not echo.exists() and not out.exists()
 
 
+def test_ingest_refuses_percentiles_of_panel_csv(tmp_path, capsys):
+    # A panel-csv holds no per-eprint counts to take percentiles of.
+    out = tmp_path / "r.json"
+    argv = ["ingest", "--input", str(SAMPLES / "panel.csv"), "--percentiles", "0.5,0.9",
+            "--out", str(out)]
+    assert run_command(argv) == 1
+    assert "error: --percentiles needs long-csv input, got panel-csv\n" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_fit_history_from_panel_csv(tmp_path):
     panel_path = tmp_path / "panel.csv"
     corpus.write_panel_csv([make_panel(ASTRO)], panel_path)
@@ -533,6 +544,15 @@ def test_fit_json_beyond_the_integer_digit_limit_is_a_data_error(tmp_path, capsy
     assert capsys.readouterr().err.startswith(f"error: {fit}: not valid JSON (")
 
 
+@pytest.mark.parametrize("text", ["[1, 2]", '"A"', "null"], ids=["list", "string", "null"])
+def test_fit_json_that_is_not_an_object_is_a_data_error(tmp_path, capsys, text):
+    fit, out = tmp_path / "fit.json", tmp_path / "r.json"
+    fit.write_text(text)
+    assert run_command(["metrics", "--fit", str(fit), "--out", str(out)]) == 2
+    assert f"error: {fit}: expected a JSON object\n" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_reckoner_matches_library_and_reference(tmp_path, params_json):
     out = tmp_path / "r.json"
     table_csv = tmp_path / "table.csv"
@@ -673,6 +693,18 @@ def test_gamma_scores_with_skip_warnings(tmp_path, corpus_csv, params_json):
         rows = list(csv.DictReader(fh))
     assert len(rows) == 4
     assert {r["eprint_id"] for r in rows} == {"a1", "a2", "a3", "a4"}
+
+
+def test_gamma_of_a_single_scorable_eprint_has_no_correlation(tmp_path, corpus_csv, params_json):
+    # hep holds one eprint, and a correlation needs at least two scores.
+    out = tmp_path / "r.json"
+    argv = ["gamma", "--input", str(corpus_csv), "--discipline", "hep", "--fit",
+            str(params_json), "--out", str(out)]
+    assert run_command(argv) == 0
+    payload = read_envelope(out)["payload"]
+    assert payload["n_scored"] == 1
+    assert payload["pearson_r"] is None
+    assert payload["gamma"]["sd"] == payload["gamma_star"]["sd"] == 0.0
 
 
 def test_gamma_rejects_a_year_past_the_retrieval_year(tmp_path, corpus_csv, params_json, capsys):
@@ -1076,6 +1108,18 @@ def test_exit_code_for_convergence_failure(tmp_path, params_json):
     assert code == 3
 
 
+def test_fit_history_that_does_not_converge_exits_3(tmp_path, capsys, monkeypatch):
+    fit_history = historyfit.fit_history
+    monkeypatch.setattr(historyfit, "fit_history", lambda panel, weighted: dataclasses.replace(
+        fit_history(panel, weighted=weighted), converged=False))
+    out = tmp_path / "r.json"
+    argv = ["fit-history", "--input", str(SAMPLES / "panel_wide.csv"), "--discipline",
+            "example", "--out", str(out)]
+    assert run_command(argv) == 3
+    assert "error: history fit for 'example' did not converge\n" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command", ["simulate", "verify"])
 @pytest.mark.parametrize("rows, message", [
     ("1,0.5\n2,nan\n3,0.8\n", "spreads must be positive and finite"),
@@ -1093,6 +1137,37 @@ def test_non_finite_vol_series_is_a_data_error(tmp_path, params_json, capsys, co
     err = capsys.readouterr().err
     assert f"error: {message}\n" in err
     assert "Traceback" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["simulate", "verify"])
+@pytest.mark.parametrize("text, message", [
+    ("t,x\n1,0.5\n", "expected columns t,m"),
+    ("t,m\n1,0.5\n2,oops\n3,0.8\n", "row 3: column 'm' is not numeric"),
+    ("t,m\n1,0.5\n2\n3,0.8\n", "row 3: column 'm' is not numeric"),
+    ("", "empty file"),
+], ids=["no-m-column", "text-cell", "short-row", "empty"])
+def test_vol_series_must_be_a_numeric_t_m_table(tmp_path, params_json, capsys, command, text,
+                                                message):
+    series, out = tmp_path / "vol_series.csv", tmp_path / "r.json"
+    series.write_text(text)
+    argv = [command, "--fit", str(params_json), "--vol-series", str(series), *SIM_ARGS,
+            "--out", str(out)]
+    assert run_command(argv) == 2
+    assert f"error: {series}: {message}\n" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["simulate", "verify"])
+def test_a_mean_curve_that_underflows_is_a_data_error(tmp_path, capsys, command):
+    # Positive A and B, but u(0) = A f(1) underflows to 0 when mu is far
+    # from 0, and the sampler takes logs of u.
+    fit, out = tmp_path / "fit.json", tmp_path / "r.json"
+    fit.write_text(json.dumps({"A": 1, "mu": 40, "sigma": 0.5, "B": 1, "lambda": 1}))
+    argv = [command, "--fit", str(fit), "--s1", "0.0281", "--s2", "0.2", *SIM_ARGS,
+            "--out", str(out)]
+    assert run_command(argv) == 2
+    assert "error: mean curve is not positive everywhere on the grid\n" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -1131,6 +1206,15 @@ TREND_2019 = ["--first-year", "2019", "--last-year", "2019"]
                   "--svg", "fig.svg"], 2, id="plot-inf-x"),
     pytest.param(["verify", *SAMPLE_FIT, "--vol", str(SAMPLES / "vol.json"), "--paths", "1"], 2,
                  id="verify-one-path"),
+    pytest.param(["simulate", *SAMPLE_FIT, "--s1", "0.0281"], 1, id="simulate-s1-without-s2"),
+    pytest.param(["plot", "--data", "summary.csv", "--x", "t", "--y", "mean,,t",
+                  "--svg", "fig.svg"], 1, id="plot-empty-y-element"),
+    # Commands that read eprints refuse a panel-csv aggregate.
+    *(
+        pytest.param([command, "--input", str(SAMPLES / "panel.csv"), "--discipline", "x",
+                      *extra], 1, id=f"{command}-panel-csv")
+        for command, extra in (("fit-dist", []), ("gamma", SAMPLE_FIT), ("trend", TREND_2019))
+    ),
     # An output that names an input is refused whatever the command.
     pytest.param(["ingest", "--input", "c.csv", "--echo", "c.csv"], 1,
                  id="ingest-echo-over-input"),
@@ -1432,6 +1516,28 @@ def test_plot_rejects_bad_columns_and_styles(tmp_path):
     assert run_command(["plot", "--data", str(data), "--x", "t", "--y", "u", "--svg", svg, "--out", out]) == 2
 
 
+def test_plot_pads_a_constant_series_to_a_unit_range(tmp_path):
+    data, svg = tmp_path / "data.csv", tmp_path / "fig.svg"
+    data.write_text("t,u\n1,2\n1,2\n")
+    argv = ["plot", "--data", str(data), "--x", "t", "--y", "u", "--svg", str(svg),
+            "--out", str(tmp_path / "r.json")]
+    assert run_command(argv) == 0
+    text = svg.read_text()
+    # x spans [0, 2] and y spans [1, 3], so the one point sits mid-plot.
+    assert 'points="280.00,210.00 280.00,210.00"' in text
+    assert ">0</text>" in text and ">2</text>" in text and ">3</text>" in text
+
+
+def test_plot_refuses_an_empty_data_file(tmp_path, capsys):
+    data, out = tmp_path / "data.csv", tmp_path / "r.json"
+    data.write_text("")
+    argv = ["plot", "--data", str(data), "--x", "t", "--y", "u", "--svg",
+            str(tmp_path / "fig.svg"), "--out", str(out)]
+    assert run_command(argv) == 2
+    assert f"error: {data}: empty file\n" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_emit_plot_validates_series(tmp_path):
     with pytest.raises(UsageError):
         emit_plot([PlotSeries("a", [1, 2], [1, 2])], style="pie", out=tmp_path / "x.svg")
@@ -1443,6 +1549,14 @@ def test_emit_plot_validates_series(tmp_path):
         emit_plot([PlotSeries("a", [1.0], [2.0])], out=tmp_path / "x.svg")
     with pytest.raises(DataError):
         emit_plot([PlotSeries("a", [1.0, 2.0], [2.0])], out=tmp_path / "x.svg")
+
+
+@pytest.mark.parametrize("style", ["bar", ""])
+def test_emit_plot_checks_each_series_style_as_the_default_style(tmp_path, style):
+    svg = tmp_path / "x.svg"
+    with pytest.raises(UsageError, match=f"^style must be 'line' or 'scatter', got {style!r}$"):
+        emit_plot([PlotSeries("a", [1.0, 2.0], [1.0, 3.0], style=style)], out=svg)
+    assert not svg.exists()
 
 
 def test_plot_label_escapes_markup_but_not_quotes(tmp_path):

@@ -165,6 +165,13 @@ def test_columns_and_records_build_one_corpus():
     assert CitationCorpus._from_columns(**BASE_COLUMNS) == corpus
 
 
+def test_corpus_compares_unequal_to_other_types_and_has_a_summary_repr():
+    corpus = CitationCorpus(records=(rec(*A), rec(*B)), retrieval_year=2019)
+    assert (corpus == 1) is False
+    assert corpus != "corpus"
+    assert repr(corpus) == "CitationCorpus(2 eprints, 2 disciplines, retrieval_year=2019)"
+
+
 @pytest.mark.parametrize("case", list(INVARIANTS))
 def test_every_constructor_refuses_the_same_inputs(case):
     records, changes, message = INVARIANTS[case]

@@ -262,6 +262,13 @@ def test_power_law_errors():
         distfit.fit_power_law_quantile(flat, q_min=0.0)
 
 
+def test_power_law_tail_of_tied_ranks_is_degenerate():
+    # Every count in the tail ties, so every tail point sits at one quantile.
+    series = distfit.make_quantile_series([0, 0, 0, 5, 5, 5])
+    with pytest.raises(DegenerateDataError, match="zero variance in the regressor"):
+        distfit.fit_power_law_quantile(series, q_min=0.5)
+
+
 # --- CSV ----------------------------------------------------------------------
 
 

@@ -383,6 +383,15 @@ def test_scores_csv(tmp_path):
         write_scores_csv(scores, stars[:2], tmp_path / "bad.csv")
 
 
+def test_scores_csv_refuses_stars_in_another_order(tmp_path):
+    scores = [score(0, "a", 3.0), score(1, "a", 1.0)]
+    stars = gamma_star_scores(scores)[::-1]
+    path = tmp_path / "scores.csv"
+    with pytest.raises(DataError, match="score/star misalignment at 'e0' vs 'e1'"):
+        write_scores_csv(scores, stars, path)
+    assert not path.exists()
+
+
 def test_reckoner_csv_format(tmp_path):
     reck = build_reckoner(
         params_for("comp-sci"), (5, 10), (2, 3, 4, 5), "comp-sci"

@@ -76,6 +76,12 @@ def test_log_variance_and_beta_star_frozen():
         beta_star(-1.0, VOL)
 
 
+@pytest.mark.parametrize("ages", [-1.0, np.array([1.0, -0.5])], ids=["scalar", "array"])
+def test_log_variance_refuses_a_negative_age(ages):
+    with pytest.raises(DomainError, match="age must be non-negative"):
+        log_variance(ages, VOL)
+
+
 def test_beta_star_asymptotics():
     # early-age plateau sqrt(s2/s1), to first order sqrt(s2/s1) (1 - t/(2 s1)),
     # and late-age decay sqrt(s2/t), at t = s1/100 and t = 100 s1
