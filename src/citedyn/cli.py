@@ -34,7 +34,6 @@ from . import __version__, corpus, distfit, gamma, historyfit, stochastic
 from ._csv import open_csv, write_csv
 from .errors import (
     CitedynError,
-    ConvergenceError,
     DataError,
     DomainError,
     InsufficientDataError,
@@ -359,8 +358,6 @@ def _cmd_fit_history(args):
         cap = args.cap if args.cap is not None else DEFAULT_CAP
         panel = corpus.build_age_panel(corp, args.discipline, year, cap, args.max_age)
     fit = historyfit.fit_history(panel, weighted=args.weighted)
-    if not fit.converged:
-        raise ConvergenceError(f"history fit for {args.discipline!r} did not converge")
     payload = _fit_payload(fit)
     if args.curve:
         historyfit.write_curve_csv(fit.params, args.curve, t_max=float(max(panel.ages)))

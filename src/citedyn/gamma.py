@@ -402,8 +402,8 @@ def kde_curve(
     Epanechnikov parabola K(u) = 0.75 (1 - u^2) on |u| <= 1; "gaussian"
     selects the standard normal kernel instead.
     """
-    if half_width <= 0:
-        raise DomainError(f"half_width must be positive, got {half_width}")
+    if not (half_width > 0 and math.isfinite(half_width)):
+        raise DomainError(f"half_width must be positive and finite, got {half_width}")
     v = np.asarray(list(values), dtype=float)
     if v.size < 2:
         raise InsufficientDataError("density estimate needs at least 2 values")

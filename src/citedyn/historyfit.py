@@ -45,20 +45,14 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import NamedTuple, Union
+from typing import NamedTuple
 
 import numpy as np
 
 from ._csv import write_csv
 from .corpus import AgePanel
 from .distfit import adjusted_r2, normal_cdf, wald_se
-from .errors import (
-    ConvergenceError,
-    DegenerateDataError,
-    DomainError,
-    InsufficientDataError,
-    InvalidInputError,
-)
+from .errors import ConvergenceError, DegenerateDataError, DomainError, InsufficientDataError
 
 __all__ = [
     "HistoryParams",
@@ -240,9 +234,9 @@ def _components(params: HistoryParams, t: np.ndarray) -> tuple[np.ndarray, np.nd
 
 
 def _ages(t) -> np.ndarray:
-    """Ages t as a float array, refusing a negative one."""
+    """Ages t as a float array, refusing a negative or NaN one."""
     ta = np.asarray(t, dtype=float)
-    if np.any(ta < 0):
+    if np.any(~(ta >= 0)):
         raise DomainError(f"age must be non-negative, got {t!r}")
     return ta
 
@@ -298,6 +292,8 @@ class HistoryFit:
 
     se_lambda is None when the rate saturated its cap, where the model is
     locally flat in lambda and no meaningful standard error exists.
+    converged is always True: fit_history raises ConvergenceError rather
+    than return a fit that did not converge.
     """
 
     params: HistoryParams
@@ -315,7 +311,7 @@ class HistoryFit:
     diagnostics: FitDiagnostics
 
 
-def _seed_scales(t: np.ndarray, u: np.ndarray, mu0: float, sig0: float) -> tuple[float, float]:
+def _seed_scales(u: np.ndarray, mu0: float, sig0: float) -> tuple[float, float]:
     """Starting A and B from the panel's peak and tail levels."""
     floor = max(float(np.max(u)) * 1e-3, 1e-8)
     b0 = max(float(np.mean(u[-3:])) if u.size >= 3 else float(u[-1]), floor)
@@ -415,16 +411,18 @@ def fit_history(panel: AgePanel, weighted: bool = False) -> HistoryFit:
     and lambda bounded at LAMBDA_BOUND. A start is stopped early when it
     leaves the box the panel can identify or reaches the path of an
     earlier start that succeeded or joined (see _Search).
-    The best start by residual cost among those not stopped wins;
-    converged is False when it did not satisfy the optimizer's tolerances.
-    The result's diagnostics record what every start did. With weighted,
-    each age's residual is weighted by the square root of its population n;
-    the default is the unweighted regression.
+    The best start by residual cost among those not stopped wins; the fit
+    fails unless it satisfied the optimizer's tolerances, so a returned
+    fit has always converged. The result's diagnostics record what every
+    start did. With weighted, each age's residual is weighted by the
+    square root of its population n; the default is the unweighted
+    regression.
 
     Raises:
         InsufficientDataError: fewer than 6 usable ages.
         DegenerateDataError: all-zero response.
-        ConvergenceError: every start was abandoned or failed.
+        ConvergenceError: every start was stopped or failed, or the winning
+            start did not converge; the message names the panel.
     """
     t = np.array([e.t for e in panel.entries], dtype=float)
     u = np.array([e.u for e in panel.entries], dtype=float)
@@ -458,7 +456,7 @@ def fit_history(panel: AgePanel, weighted: bool = False) -> HistoryFit:
     abandoned = joined = nfev = 0
     failed = []
     for i, (mu0, sig0, lam0) in enumerate(grid):
-        a0, b0 = _seed_scales(t, u, mu0, sig0)
+        a0, b0 = _seed_scales(u, mu0, sig0)
         x0 = np.array([math.log(a0), mu0, math.log(sig0), math.log(b0), math.log(lam0)])
         try:
             res = least_squares(
@@ -481,11 +479,13 @@ def fit_history(panel: AgePanel, weighted: bool = False) -> HistoryFit:
             abandoned += 1
         elif res.cost < best_cost:
             best, best_cost, best_start = res, res.cost, i
-    if best is None:
+    if best is None or not best.success:
+        verdict = ("no start survived" if best is None
+                   else f"best start {best_start} stopped with status {best.status}")
         detail = f"; first failure: start {failed[0][0]}, {failed[0][1]}" if failed else ""
         raise ConvergenceError(
-            f"no optimization start survived: {abandoned} of {len(grid)} abandoned "
-            f"outside the identifiable box, "
+            f"{panel.discipline}/{panel.dataset_year}: no optimization start converged: "
+            f"{verdict}; {abandoned} of {len(grid)} abandoned outside the identifiable box, "
             f"{len(failed)} failed{detail}"
         )
     diagnostics = FitDiagnostics(
@@ -525,7 +525,7 @@ def fit_history(panel: AgePanel, weighted: bool = False) -> HistoryFit:
         se_lambda=None if params.lambda_capped else se_lam,
         r2_adj=r2_adj,
         residuals=tuple(resid_plain.tolist()),
-        converged=bool(best.success),
+        converged=True,
         discipline=panel.discipline,
         dataset_year=panel.dataset_year,
         percentile_cap=panel.percentile_cap,
@@ -553,22 +553,12 @@ class DerivedMetrics:
     variance: float
 
 
-def derive_metrics(fit: Union[HistoryFit, HistoryParams]) -> DerivedMetrics:
-    """Metrics from a converged fit (or directly from a parameter set).
+def derive_metrics(params: HistoryParams) -> DerivedMetrics:
+    """Metrics of a parameter set, such as a fit's params.
 
     s_rate is stored as delta1/delta2 and i_rate as 1/r_rate, so both
     ratio identities hold exactly by construction.
-
-    Raises:
-        InvalidInputError: the fit did not converge.
     """
-    if isinstance(fit, HistoryFit):
-        if not fit.converged:
-            raise InvalidInputError("cannot derive metrics from a non-converged fit")
-        params = fit.params
-    else:
-        params = fit
-
     sig2 = params.sigma * params.sigma
     delta1 = math.exp(params.mu - sig2)
     delta2 = math.exp(params.mu) * (1.0 - math.exp(-sig2))
@@ -636,25 +626,19 @@ class TrendPoint(NamedTuple):
 def trend_metrics(panels) -> list[TrendPoint]:
     """Fit each panel independently and map to (S, R, I) per dataset year.
 
-    Years whose fit fails to converge, or where no start survives
-    (ConvergenceError), are flagged with NaN metrics rather than dropped,
-    so the output always aligns with the input years. A panel too thin or
-    all zero still raises.
+    A year whose fit raises ConvergenceError is a point with NaN metrics
+    and converged False rather than dropped, so the output always aligns
+    with the input years. A panel too thin or all zero still raises.
     """
     points = []
     for panel in panels:
         try:
-            fit = fit_history(panel)
+            m = derive_metrics(fit_history(panel).params)
         except ConvergenceError:
-            fit = None
-        if fit is not None and fit.converged:
-            m = derive_metrics(fit)
-            points.append(
-                TrendPoint(panel.dataset_year, m.s_rate, m.r_rate, m.i_rate, True)
-            )
-        else:
             nan = float("nan")
             points.append(TrendPoint(panel.dataset_year, nan, nan, nan, False))
+        else:
+            points.append(TrendPoint(panel.dataset_year, m.s_rate, m.r_rate, m.i_rate, True))
     return points
 
 

@@ -598,8 +598,8 @@ class TimingSimConfig:
             raise DomainError(
                 f"epsilon_bound must be in [0, 1), got {self.epsilon_bound}"
             )
-        if not self.t0 > 0:
-            raise DomainError(f"t0 must be positive, got {self.t0}")
+        if not (self.t0 > 0 and math.isfinite(self.t0)):
+            raise DomainError(f"t0 must be positive and finite, got {self.t0}")
 
 
 @dataclass(frozen=True)

@@ -2,7 +2,6 @@
 
 import argparse
 import csv
-import dataclasses
 import hashlib
 import json
 import math
@@ -1108,16 +1107,33 @@ def test_exit_code_for_convergence_failure(tmp_path, params_json):
     assert code == 3
 
 
-def test_fit_history_that_does_not_converge_exits_3(tmp_path, capsys, monkeypatch):
-    fit_history = historyfit.fit_history
-    monkeypatch.setattr(historyfit, "fit_history", lambda panel, weighted: dataclasses.replace(
-        fit_history(panel, weighted=weighted), converged=False))
-    out = tmp_path / "r.json"
+def test_fit_history_out_of_evaluations_exits_3(tmp_path, capsys, monkeypatch):
+    # One evaluation per start: no start converges, and the library's
+    # ConvergenceError is the command's exit 3.
+    monkeypatch.setattr(historyfit, "MAX_NFEV", 1)
+    out, curve = tmp_path / "r.json", tmp_path / "curve.csv"
     argv = ["fit-history", "--input", str(SAMPLES / "panel_wide.csv"), "--discipline",
-            "example", "--out", str(out)]
+            "example", "--curve", str(curve), "--out", str(out)]
     assert run_command(argv) == 3
-    assert "error: history fit for 'example' did not converge\n" in capsys.readouterr().err
-    assert not out.exists()
+    assert re.search(r"^error: example/2019: no optimization start converged: best start \d+ "
+                     r"stopped with status 0;", capsys.readouterr().err, re.MULTILINE)
+    assert not out.exists() and not curve.exists()
+
+
+def test_vol_series_repeated_column_reads_last(tmp_path, params_json):
+    # A decoy m column before the sample's m is not read, as csv.DictReader does.
+    rows = (SAMPLES / "vol_series.csv").read_text().splitlines()
+    series = tmp_path / "decoy.csv"
+    series.write_text("t,m,m\n" + "".join(f"{t},9.5,{m}\n" for t, m in
+                                           (row.split(",") for row in rows[1:])))
+    payloads = []
+    for name, path in (("sample", SAMPLES / "vol_series.csv"), ("decoy", series)):
+        out = tmp_path / f"{name}.json"
+        argv = ["simulate", "--fit", str(params_json), "--vol-series", str(path), *SIM_ARGS,
+                "--out", str(out)]
+        assert run_command(argv) == 0
+        payloads.append(read_envelope(out)["payload"]["vol"])
+    assert payloads[1] == payloads[0]
 
 
 @pytest.mark.parametrize("command", ["simulate", "verify"])
@@ -1514,6 +1530,16 @@ def test_plot_rejects_bad_columns_and_styles(tmp_path):
     assert run_command(["plot", "--data", str(data), "--x", "t", "--y", "w", "--svg", svg, "--out", out]) == 1
     assert run_command(["plot", "--data", str(data), "--x", "t", "--y", "u=wiggle", "--svg", svg, "--out", out]) == 1
     assert run_command(["plot", "--data", str(data), "--x", "t", "--y", "u", "--svg", svg, "--out", out]) == 2
+
+
+def test_plot_repeated_column_reads_last(tmp_path):
+    data, svg = tmp_path / "data.csv", tmp_path / "fig.svg"
+    data.write_text("t,t,m\n1,10,5\n2,20,6\n")
+    argv = ["plot", "--data", str(data), "--x", "t", "--y", "m", "--svg", str(svg),
+            "--out", str(tmp_path / "r.json")]
+    assert run_command(argv) == 0
+    with open(svg.with_suffix(".csv"), newline="") as fh:
+        assert [row["x"] for row in csv.DictReader(fh)] == ["10.0", "20.0"]
 
 
 def test_plot_pads_a_constant_series_to_a_unit_range(tmp_path):

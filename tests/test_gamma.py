@@ -361,6 +361,9 @@ def test_kde_validation():
         kde_curve([1.0], half_width=0.5)
     with pytest.raises(DomainError):
         kde_curve([1.0, 2.0], half_width=0.0)
+    for half_width in (math.nan, math.inf):
+        with pytest.raises(DomainError, match="half_width must be positive and finite"):
+            kde_curve([1.0, 2.0], half_width=half_width)
     with pytest.raises(DomainError):
         kde_curve([1.0, 2.0], half_width=0.5, kernel="triangular")
 

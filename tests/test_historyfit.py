@@ -17,11 +17,8 @@ from citedyn.errors import (
     DegenerateDataError,
     DomainError,
     InsufficientDataError,
-    InvalidInputError,
 )
 from citedyn.historyfit import (
-    FitDiagnostics,
-    HistoryFit,
     HistoryParams,
     cumulative_split,
     derive_metrics,
@@ -373,7 +370,7 @@ def _first_start(won=None):
         search.won = won[None, :]
     mu0, sig0, lam0 = (historyfit.MU_STARTS[0], historyfit.SIGMA_STARTS[0],
                        historyfit.LAMBDA_STARTS[0])
-    a0, b0 = historyfit._seed_scales(t, u, mu0, sig0)
+    a0, b0 = historyfit._seed_scales(u, mu0, sig0)
     x0 = np.array([math.log(a0), mu0, math.log(sig0), math.log(b0), math.log(lam0)])
     curve = historyfit._Curve(t)
     res = historyfit.least_squares(
@@ -463,6 +460,39 @@ def test_no_surviving_start_is_a_convergence_error(monkeypatch):
     monkeypatch.setattr(historyfit, "MU_FLOOR", 10.0)
     with pytest.raises(ConvergenceError, match=f"{GRID_SIZE} of {GRID_SIZE} abandoned .* 0 failed"):
         fit_history(make_panel(ASTRO))
+
+
+def test_a_fit_out_of_evaluations_is_a_convergence_error(monkeypatch):
+    # One evaluation per start: every start stops at status 0.
+    monkeypatch.setattr(historyfit, "MAX_NFEV", 1)
+    with pytest.raises(ConvergenceError, match=(
+            r"^synthetic/2019: no optimization start converged: "
+            r"best start \d+ stopped with status 0; 0 of \d+ abandoned .* 0 failed$")):
+        fit_history(make_panel(ASTRO))
+
+
+def test_an_unconverged_cheapest_start_is_not_replaced_by_a_costlier_one(monkeypatch):
+    # The winner is the cheapest start the search did not stop; when it
+    # did not converge the fit fails, even though costlier starts did.
+    monkeypatch.setattr(historyfit, "JOIN_TOL", 0.0)  # every start runs on its own
+    panel = make_panel(ASTRO)
+    cheapest = fit_history(panel).diagnostics.best_start
+    results = []
+    least_squares = historyfit.least_squares
+
+    def unconverged_cheapest(*args, **kwargs):
+        res = least_squares(*args, **kwargs)
+        if len(results) == cheapest:
+            res.status, res.success = 0, False
+        results.append(res)
+        return res
+
+    monkeypatch.setattr(historyfit, "least_squares", unconverged_cheapest)
+    with pytest.raises(ConvergenceError, match=f"best start {cheapest} stopped with status 0"):
+        fit_history(panel)
+    assert len(results) == GRID_SIZE
+    assert min(range(GRID_SIZE), key=lambda i: results[i].cost) == cheapest
+    assert any(res.success for res in results)
 
 
 def test_jac_original_matches_finite_differences():
@@ -566,28 +596,6 @@ def test_unit_ratio_at_special_width():
     assert m.s_rate == pytest.approx(1.0, rel=1e-12)
 
 
-def test_metrics_refuse_failed_fit():
-    fit = HistoryFit(
-        params=ASTRO,
-        se_A=0.1,
-        se_mu=0.1,
-        se_sigma=0.1,
-        se_B=0.1,
-        se_lambda=0.1,
-        r2_adj=0.5,
-        residuals=(0.0,),
-        converged=False,
-        discipline="x",
-        dataset_year=2019,
-        percentile_cap=None,
-        diagnostics=FitDiagnostics(
-            starts=36, abandoned=0, failed=(), best_start=0, best_status=0, nfev=1000
-        ),
-    )
-    with pytest.raises(InvalidInputError):
-        derive_metrics(fit)
-
-
 def test_peak_age_maximizes_the_bump_component():
     # t_peak locates the maximum of the transient component alone; u_peak
     # then evaluates the full curve there. Probe the component directly.
@@ -685,6 +693,15 @@ def test_trend_year_without_a_surviving_start_is_a_nan_point(monkeypatch):
     assert math.isfinite(points[0].s_rate)
     assert not points[1].converged
     assert all(math.isnan(v) for v in (points[1].s_rate, points[1].r_rate, points[1].i_rate))
+
+
+def test_trend_year_whose_fit_runs_out_of_evaluations_is_a_nan_point(monkeypatch):
+    monkeypatch.setattr(historyfit, "MAX_NFEV", 1)
+    points = trend_metrics([make_panel(ASTRO, dataset_year=y) for y in (2018, 2019)])
+    assert [p.dataset_year for p in points] == [2018, 2019]
+    for point in points:
+        assert not point.converged
+        assert all(math.isnan(v) for v in (point.s_rate, point.r_rate, point.i_rate))
 
 
 def test_trend_still_raises_on_unusable_panels():

@@ -76,7 +76,9 @@ def test_log_variance_and_beta_star_frozen():
         beta_star(-1.0, VOL)
 
 
-@pytest.mark.parametrize("ages", [-1.0, np.array([1.0, -0.5])], ids=["scalar", "array"])
+@pytest.mark.parametrize(
+    "ages", [-1.0, np.array([1.0, -0.5]), math.nan, np.array([1.0, math.nan])],
+    ids=["scalar", "array", "nan", "nan-in-array"])
 def test_log_variance_refuses_a_negative_age(ages):
     with pytest.raises(DomainError, match="age must be non-negative"):
         log_variance(ages, VOL)
@@ -567,6 +569,9 @@ def test_timing_config_validation():
         TimingSimConfig(n_events=10, n_samples=100, epsilon_bound=1.0)
     with pytest.raises(DomainError):
         TimingSimConfig(n_events=10, n_samples=100, epsilon_bound=0.1, t0=0.0)
+    for t0 in (math.inf, math.nan):
+        with pytest.raises(DomainError, match="t0 must be positive and finite"):
+            TimingSimConfig(n_events=10, n_samples=100, epsilon_bound=0.1, t0=t0)
 
 
 def test_many_events_look_normal():
