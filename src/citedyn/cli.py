@@ -4,9 +4,9 @@ Subcommands: ingest, fit-dist, fit-history, metrics, trend, gamma,
 reckoner, simulate, verify, plot. Every subcommand writes a JSON result
 envelope to --out carrying the tool version, a UTC timestamp, sha256
 digests of its input files, the subcommand name, a payload of results,
-and any warnings raised along the way. Bulk numeric artifacts (score
-tables, ensembles, figures) go to separate files named by dedicated
-flags; all CSV numbers use full round-trip precision.
+and every warning the library logged along the way. Bulk numeric
+artifacts (score tables, ensembles, figures) go to separate files named
+by dedicated flags; all CSV numbers use full round-trip precision.
 
 Exit codes: 0 success, 1 usage error, 2 data error, 3 convergence
 failure.
@@ -44,6 +44,9 @@ __all__ = ["build_parser", "run_command", "main", "emit_plot", "PlotSeries"]
 
 DEFAULT_CAP = 0.99
 DEFAULT_MAX_AGE = 20
+# Values one a:b range may expand to: the age domain, which is also
+# build_age_panel's bound on max_age.
+_MAX_RANGE = corpus.MAX_YEAR - corpus.MIN_SUBMIT_YEAR
 
 _PLOT_COLORS = ("#1f77b4", "#d62728", "#2ca02c", "#ff7f0e", "#9467bd", "#8c564b")
 
@@ -111,6 +114,8 @@ def _parse_number_list(text: str, flag: str) -> list[float]:
                 raise UsageError(f"{flag}: range bounds must be integers in {token!r}")
             if lo > hi:
                 raise UsageError(f"{flag}: empty range {token!r}")
+            if hi - lo >= _MAX_RANGE:
+                raise UsageError(f"{flag}: range {token!r} holds more than {_MAX_RANGE} values")
             out.extend(float(v) for v in range(lo, hi + 1))
         else:
             try:
@@ -211,7 +216,8 @@ def _float_columns(path, names, missing) -> dict[str, list[float]]:
 
 
 class _WarningCollector(logging.Handler):
-    """Collects library log warnings for the result envelope."""
+    """Collects the citedyn.* loggers' warnings, in the order logged, for
+    the result envelope."""
 
     def __init__(self):
         super().__init__(level=logging.WARNING)
@@ -254,7 +260,8 @@ def _sde_setup(args):
 
 
 # --- subcommand handlers ----------------------------------------------------
-# Each returns (payload, warnings).
+# Each returns its payload; warnings reach the envelope through the
+# citedyn.* loggers.
 
 
 def _cmd_ingest(args):
@@ -277,7 +284,7 @@ def _cmd_ingest(args):
                 for p in panels
             ],
         }
-        return payload, []
+        return payload
 
     corp = corpus.load_corpus(args.input, "long-csv", retrieval_year=args.retrieval_year)
     disciplines = corp.discipline_names
@@ -296,7 +303,7 @@ def _cmd_ingest(args):
         }
     if args.echo:
         corpus.write_long_csv(corp, args.echo)
-    return payload, []
+    return payload
 
 
 def _cmd_fit_dist(args):
@@ -321,7 +328,7 @@ def _cmd_fit_dist(args):
         payload["power_law"] = dataclasses.asdict(fit)
     if args.points:
         distfit.write_quantile_csv(series, args.points)
-    return payload, []
+    return payload
 
 
 def _select_panel(panels, discipline, dataset_year):
@@ -361,7 +368,7 @@ def _cmd_fit_history(args):
     payload = _fit_payload(fit)
     if args.curve:
         historyfit.write_curve_csv(fit.params, args.curve, t_max=float(max(panel.ages)))
-    return payload, []
+    return payload
 
 
 def _cmd_metrics(args):
@@ -375,7 +382,7 @@ def _cmd_metrics(args):
     if args.horizons:
         for T in _parse_number_list(args.horizons, "--horizons"):
             payload["splits"].append(dataclasses.asdict(historyfit.cumulative_split(params, T)))
-    return payload, []
+    return payload
 
 
 def _cmd_trend(args):
@@ -396,7 +403,7 @@ def _cmd_trend(args):
     }
     if args.csv:
         write_csv(args.csv, historyfit.TrendPoint._fields, points)
-    return payload, []
+    return payload
 
 
 def _summary_stats(values) -> dict:
@@ -413,7 +420,7 @@ def _cmd_gamma(args):
     corp = _load_corpus(args)
     params, _ = _load_fit(args.fit)
     year = args.dataset_year if args.dataset_year is not None else corp.retrieval_year
-    scores, stars, warnings = gamma.score_eprints(corp, args.discipline, params, year)
+    scores, stars = gamma.score_eprints(corp, args.discipline, params, year)
     try:
         r = gamma.pearson_r([s.gamma for s in scores], [s.gamma_star for s in stars])
     except DataError:
@@ -422,14 +429,14 @@ def _cmd_gamma(args):
         "discipline": args.discipline,
         "dataset_year": year,
         "n_scored": len(scores),
-        "n_skipped": len(warnings),
+        "n_skipped": len(corp.members(args.discipline)) - len(scores),
         "gamma": _summary_stats([s.gamma for s in scores]),
         "gamma_star": _summary_stats([s.gamma_star for s in stars]),
         "pearson_r": r,
     }
     if args.scores:
         gamma.write_scores_csv(scores, stars, args.scores)
-    return payload, warnings
+    return payload
 
 
 def _cmd_reckoner(args):
@@ -444,7 +451,7 @@ def _cmd_reckoner(args):
     payload = dataclasses.asdict(reck)
     if args.csv:
         gamma.write_reckoner_csv(reck, args.csv)
-    return payload, []
+    return payload
 
 
 def _cmd_simulate(args):
@@ -467,15 +474,14 @@ def _cmd_simulate(args):
     payload["method"] = args.method
     payload["x0"] = historyfit.eval_history(params, 0.0)  # every path starts at u(0)
     payload["count_summary"] = _summary_stats(np.concatenate(counts))
-    return payload, []
+    return payload
 
 
 def _cmd_verify(args):
     params, vol, config, payload = _sde_setup(args)
     payload["checks"] = stochastic.verify_ensemble(params, vol, config)
     payload["overall_pass"] = all(c["pass"] for c in payload["checks"])
-    warnings = [] if payload["overall_pass"] else ["one or more verification checks failed"]
-    return payload, warnings
+    return payload
 
 
 # --- plotting ---------------------------------------------------------------
@@ -622,7 +628,7 @@ def _cmd_plot(args):
             for s in series
         ],
     }
-    return payload, []
+    return payload
 
 
 # --- argument parsing -------------------------------------------------------
@@ -802,8 +808,7 @@ def run_command(argv: Sequence[str] | None = None) -> int:
     try:
         args = parser.parse_args(argv)
         _refuse_overwrite(args)
-        payload, warnings = args.handler(args)
-        _write_envelope(args, payload, warnings + collector.messages)
+        _write_envelope(args, args.handler(args), collector.messages)
         return 0
     except UsageError as exc:
         sys.stderr.write(parser.format_usage())

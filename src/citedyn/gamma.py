@@ -15,6 +15,7 @@ shape of the underlying count distribution.
 from __future__ import annotations
 
 import itertools
+import logging
 import math
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
@@ -50,6 +51,8 @@ __all__ = [
     "write_scores_csv",
     "write_reckoner_csv",
 ]
+
+log = logging.getLogger(__name__)
 
 # Mid-ranks are clamped to this window before the normal quantile map, so
 # extreme ranks in small groups cannot produce infinite scores.
@@ -119,14 +122,14 @@ def score_eprints(
     discipline: str,
     params: HistoryParams,
     dataset_year: int,
-) -> tuple[list[GammaScore], list[GammaStarScore], list[str]]:
+) -> tuple[list[GammaScore], list[GammaStarScore]]:
     """Score every scorable eprint of one discipline at dataset_year.
 
     An eprint is scorable when it is at least one year old at the horizon
-    and has accumulated at least one citation by then; the rest are
-    reported in the returned warning list, not silently dropped. Rank
-    scores are computed within the scorable set, the same population the
-    gamma values describe. A dataset_year past the corpus's retrieval year
+    and has accumulated at least one citation by then; each of the rest is
+    logged as a warning on the citedyn.gamma logger, not silently dropped.
+    Rank scores are computed within the scorable set, the same population
+    the gamma values describe. A dataset_year past the corpus's retrieval year
     or before corpus.MIN_SUBMIT_YEAR raises DomainError, as
     CitationCorpus.citation_totals does.
     """
@@ -135,14 +138,11 @@ def score_eprints(
     totals = corpus.citation_totals(members, through=dataset_year).tolist()
     ages = (dataset_year - corpus.submit_years[members]).tolist()
     usable = []
-    warnings = []
     for k, T, c in zip(members.tolist(), ages, totals):
         if T < 1:
-            warnings.append(
-                f"{corpus.ids[k]}: not yet 1 year old in {dataset_year}, skipped"
-            )
+            log.warning("%s: not yet 1 year old in %d, skipped", corpus.ids[k], dataset_year)
         elif c < 1:
-            warnings.append(f"{corpus.ids[k]}: no citations by {dataset_year}, skipped")
+            log.warning("%s: no citations by %d, skipped", corpus.ids[k], dataset_year)
         else:
             usable.append((corpus.ids[k], T, c))
     if not usable:
@@ -161,7 +161,7 @@ def score_eprints(
         )
         for eid, T, c in usable
     ]
-    return scores, gamma_star_scores(scores), warnings
+    return scores, gamma_star_scores(scores)
 
 
 # --- ready reckoner ---------------------------------------------------------

@@ -43,6 +43,7 @@ and at the true mode however late it falls: there is no search window.
 from __future__ import annotations
 
 import itertools
+import logging
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -68,6 +69,8 @@ __all__ = [
     "trend_metrics",
     "write_curve_csv",
 ]
+
+log = logging.getLogger(__name__)
 
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
 
@@ -628,13 +631,16 @@ def trend_metrics(panels) -> list[TrendPoint]:
 
     A year whose fit raises ConvergenceError is a point with NaN metrics
     and converged False rather than dropped, so the output always aligns
-    with the input years. A panel too thin or all zero still raises.
+    with the input years; the error's message is logged as a warning on
+    the citedyn.historyfit logger. A panel too thin or all zero still
+    raises.
     """
     points = []
     for panel in panels:
         try:
             m = derive_metrics(fit_history(panel).params)
-        except ConvergenceError:
+        except ConvergenceError as exc:
+            log.warning("%s", exc)
             nan = float("nan")
             points.append(TrendPoint(panel.dataset_year, nan, nan, nan, False))
         else:

@@ -32,6 +32,7 @@ ensemble. The kernel is serial.
 
 from __future__ import annotations
 
+import logging
 import math
 import os
 from dataclasses import dataclass
@@ -71,6 +72,8 @@ __all__ = [
     "simulate_timing_clt",
     "write_ensemble_csv",
 ]
+
+log = logging.getLogger(__name__)
 
 COUNTING_MODES = ("integral-floor", "yearly-floor-sum")
 METHODS = ("exact", "euler")  # simulate_ensemble's samplers
@@ -493,6 +496,8 @@ def verify_ensemble(
     ensemble is streamed in blocks; only the per-path counts and the few
     time columns the checks read are kept. Fewer than 2 paths, too few
     for a spread, raise InsufficientDataError before any is simulated.
+    When any check fails, a warning is logged on the citedyn.stochastic
+    logger.
     """
     if config.n_paths < 2:
         raise InsufficientDataError(f"verify needs at least 2 paths, got {config.n_paths}")
@@ -547,6 +552,8 @@ def verify_ensemble(
     except DataError as exc:
         check("lognormal_law_counts", None, 0.98, False, note=str(exc))
 
+    if not all(c["pass"] for c in checks):
+        log.warning("one or more verification checks failed")
     return checks
 
 

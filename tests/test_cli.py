@@ -110,6 +110,14 @@ def test_parse_number_list():
             _parse_number_list(bad, "--x")
 
 
+def test_range_longer_than_the_age_domain_is_refused():
+    span = corpus.MAX_YEAR - corpus.MIN_SUBMIT_YEAR
+    assert len(_parse_number_list(f"1:{span}", "--x")) == span
+    for bad in (f"1:{span + 1}", f"0:{span}", f"5,-3:{span}"):
+        with pytest.raises(UsageError, match=f"holds more than {span} values"):
+            _parse_number_list(bad, "--x")
+
+
 # --- ingest ---------------------------------------------------------------------
 
 
@@ -252,6 +260,24 @@ def test_library_warnings_reach_the_envelope(tmp_path):
     out = tmp_path / "r.json"
     assert run_command(["ingest", "--input", str(gapped), "--out", str(out)]) == 0
     assert read_envelope(out)["warnings"] == ["eprint a: ages [1] absent from file, zero-filled"]
+
+
+def test_envelope_lists_warnings_in_the_order_logged(tmp_path):
+    # The loader's zero-fill is logged before gamma's per-eprint skips.
+    rows = ["a,x,2015,0,1", "a,x,2015,2,1", "b,x,2015,0,0", "b,x,2015,1,0", "b,x,2015,2,0",
+            "c,x,2015,0,2", "c,x,2015,1,1", "c,x,2015,2,0", "d,x,2017,0,3"]
+    gapped = tmp_path / "gapped.csv"
+    gapped.write_text("\n".join([",".join(corpus.LONG_CSV_COLUMNS), *rows]) + "\n")
+    out = tmp_path / "r.json"
+    assert run_command(["gamma", "--input", str(gapped), "--discipline", "x",
+                        "--fit", str(SAMPLES / "params.json"), "--out", str(out)]) == 0
+    env = read_envelope(out)
+    assert (env["payload"]["n_scored"], env["payload"]["n_skipped"]) == (2, 2)
+    assert env["warnings"] == [
+        "eprint a: ages [1] absent from file, zero-filled",
+        "b: no citations by 2017, skipped",
+        "d: not yet 1 year old in 2017, skipped",
+    ]
 
 
 # --- fit-dist / fit-history -------------------------------------------------------
@@ -945,6 +971,19 @@ def test_verify_normalizes_a_narrow_marginal(tmp_path, params_json):
     assert checks["lognormal_law_counts"]["observed"] is None
 
 
+def test_verify_failure_is_a_warning_in_the_envelope(tmp_path):
+    # 20 paths are too few for ks_t5's fixed bound. Bounds derived from
+    # --paths would need a config that still fails.
+    out = tmp_path / "verify.json"
+    assert run_command(["verify", "--fit", str(SAMPLES / "params.json"), "--vol",
+                        str(SAMPLES / "vol.json"), "--paths", "20", "--dt", "0.5",
+                        "--out", str(out)]) == 0
+    env = read_envelope(out)
+    assert env["payload"]["overall_pass"] is False
+    assert not {c["name"]: c for c in env["payload"]["checks"]}["ks_t5"]["pass"]
+    assert env["warnings"] == ["one or more verification checks failed"]
+
+
 @pytest.mark.parametrize(
     "flags, message",
     [
@@ -1223,6 +1262,11 @@ TREND_2019 = ["--first-year", "2019", "--last-year", "2019"]
     pytest.param(["verify", *SAMPLE_FIT, "--vol", str(SAMPLES / "vol.json"), "--paths", "1"], 2,
                  id="verify-one-path"),
     pytest.param(["simulate", *SAMPLE_FIT, "--s1", "0.0281"], 1, id="simulate-s1-without-s2"),
+    # An a:b range may not expand past the age domain's 8008 values.
+    pytest.param(["reckoner", *SAMPLE_FIT, "--citations", "1", "--ages", "1:8009"], 1,
+                 id="reckoner-ages-past-the-age-domain"),
+    pytest.param(["metrics", *SAMPLE_FIT, "--horizons", "0:8008"], 1,
+                 id="metrics-horizons-past-the-age-domain"),
     pytest.param(["plot", "--data", "summary.csv", "--x", "t", "--y", "mean,,t",
                   "--svg", "fig.svg"], 1, id="plot-empty-y-element"),
     # Commands that read eprints refuse a panel-csv aggregate.

@@ -530,18 +530,24 @@ def test_load_holds_each_row_once_in_compact_columns(tmp_path, peak_bytes):
     assert peak < 3 * path.stat().st_size
 
 
-def load_logged(path):
-    """load_corpus's long-csv result and the warnings it logged, in order."""
+def logged(logger_name, fn, *args):
+    """fn(*args) and the warnings it logged on logger_name, in order. Unlike
+    caplog, this works inside a hypothesis test, once per example."""
     records = []
     handler = logging.Handler(logging.WARNING)
     handler.emit = records.append
-    logger = logging.getLogger("citedyn.corpus")
+    logger = logging.getLogger(logger_name)
     logger.addHandler(handler)
     try:
-        loaded = load_corpus(path, "long-csv")
+        result = fn(*args)
     finally:
         logger.removeHandler(handler)
-    return loaded, [r.getMessage() for r in records]
+    return result, [r.getMessage() for r in records]
+
+
+def load_logged(path):
+    """load_corpus's long-csv result and the warnings it logged, in order."""
+    return logged("citedyn.corpus", load_corpus, path, "long-csv")
 
 
 @given(corpora(), st.randoms(use_true_random=False))
@@ -1043,9 +1049,8 @@ def test_reductions_match_record_loops(case):
     params = params_for("astro-ph")
     scores, warnings = loop_scores(recs, discipline, params, dataset_year)
     if scores:
-        assert score_eprints(corpus, discipline, params, dataset_year) == (
-            scores, gamma_star_scores(scores), warnings
-        )
+        assert logged("citedyn.gamma", score_eprints, corpus, discipline, params,
+                      dataset_year) == ((scores, gamma_star_scores(scores)), warnings)
     else:
         with pytest.raises(InsufficientDataError):
             score_eprints(corpus, discipline, params, dataset_year)

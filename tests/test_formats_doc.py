@@ -3,10 +3,12 @@
 Each column table in the format reference is parsed and compared with
 the header row its writer emits, so the documented schemas cannot drift
 from the code, and every file is checked against the CSV conventions
-the reference states. The README's library example and its command-line
-walkthrough are run as written.
+the reference states. The envelope's list of warning messages is
+compared with the library's logging calls. The README's library example
+and its command-line walkthrough are run as written.
 """
 
+import ast
 import codecs
 import csv
 import json
@@ -159,6 +161,25 @@ def test_matches_reads_templated_columns():
     assert not matches(["t", "x"], ["t", "x", "Q"])
 
 
+def logged_warnings() -> list[tuple[str, str]]:
+    """(logger, message) of every log.warning call in the library, with
+    each %-placeholder written as <>."""
+    found = []
+    for path in (DOCS.parent / "src" / "citedyn").glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Call) and ast.unparse(node.func) == "log.warning":
+                found.append((f"citedyn.{path.stem}", re.sub(r"%[sd]", "<>", node.args[0].value)))
+    return sorted(found)
+
+
+def test_documented_warnings_match_the_library():
+    text = (DOCS / "formats.md").read_text(encoding="utf-8")
+    rows = re.findall(r"^\| `(citedyn\.\w+)` \| `([^`]+)` \|", text, re.MULTILINE)
+    assert len(rows) == 7
+    assert sorted((logger, re.sub(r"<[^>]*>", "<>", message)) for logger, message in rows) == (
+        logged_warnings())
+
+
 def test_readme_library_example_runs(caplog):
     readme = (DOCS.parent / "README.md").read_text(encoding="utf-8")
     block = readme.split("## Library use\n", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]
@@ -172,7 +193,8 @@ def test_readme_library_example_runs(caplog):
         "panel astro-ph/2019: no eprints observable at ages 6 to 20"
     ]
     assert names["fit"].converged
-    assert len(names["stars"]) == 4 and names["skipped"] == []
+    # Every eprint was scored: a skip would have logged a warning above.
+    assert len(names["stars"]) == 4
     assert names["counts"].shape == (10_000,)
 
 

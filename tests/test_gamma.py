@@ -2,6 +2,7 @@
 group comparison helpers."""
 
 import csv
+import logging
 import math
 
 import numpy as np
@@ -220,7 +221,7 @@ def rec(eid, year, counts, disc="astro-ph"):
     )
 
 
-def test_score_eprints_skips_unscorable_with_warnings():
+def test_score_eprints_skips_unscorable_with_warnings(caplog):
     corpus = CitationCorpus(
         records=(
             rec("good", 2015, (2, 3, 0, 0, 1)),
@@ -229,15 +230,18 @@ def test_score_eprints_skips_unscorable_with_warnings():
         ),
         retrieval_year=2019,
     )
-    scores, stars, warnings = score_eprints(corpus, "astro-ph", ASTRO, 2019)
+    with caplog.at_level(logging.WARNING, logger="citedyn"):
+        scores, stars = score_eprints(corpus, "astro-ph", ASTRO, 2019)
     assert [s.eprint_id for s in scores] == ["good"]
     assert scores[0].T == 4
     assert scores[0].c == 6
     assert scores[0].gamma == pytest.approx(gamma_index(6, 4, ASTRO), rel=1e-15)
     assert stars[0].Q == 0.5
-    assert len(warnings) == 2
-    assert any("too-young" in w for w in warnings)
-    assert any("uncited" in w for w in warnings)
+    # One record per skipped eprint, each on the citedyn.gamma logger.
+    assert len(caplog.records) == 2
+    assert {r.name for r in caplog.records} == {"citedyn.gamma"}
+    assert any("too-young" in w for w in caplog.messages)
+    assert any("uncited" in w for w in caplog.messages)
 
 
 def test_score_eprints_error_paths():

@@ -1,6 +1,7 @@
 """History-curve evaluation, cumulative splits, fitting, derived metrics."""
 
 import csv
+import logging
 import math
 
 import numpy as np
@@ -695,13 +696,25 @@ def test_trend_year_without_a_surviving_start_is_a_nan_point(monkeypatch):
     assert all(math.isnan(v) for v in (points[1].s_rate, points[1].r_rate, points[1].i_rate))
 
 
-def test_trend_year_whose_fit_runs_out_of_evaluations_is_a_nan_point(monkeypatch):
+def test_trend_year_whose_fit_runs_out_of_evaluations_is_a_nan_point(monkeypatch, caplog):
     monkeypatch.setattr(historyfit, "MAX_NFEV", 1)
-    points = trend_metrics([make_panel(ASTRO, dataset_year=y) for y in (2018, 2019)])
+    panels = [make_panel(ASTRO, dataset_year=y) for y in (2018, 2019)]
+    with caplog.at_level(logging.WARNING, logger="citedyn"):
+        points = trend_metrics(panels)
     assert [p.dataset_year for p in points] == [2018, 2019]
     for point in points:
         assert not point.converged
         assert all(math.isnan(v) for v in (point.s_rate, point.r_rate, point.i_rate))
+    # Each year's reason is logged, word for word the fit's ConvergenceError.
+    reasons = []
+    for panel in panels:
+        with pytest.raises(ConvergenceError) as exc:
+            fit_history(panel)
+        reasons.append(str(exc.value))
+    assert [r.name for r in caplog.records] == ["citedyn.historyfit"] * 2
+    assert caplog.messages == reasons
+    assert [m.split(":", 1)[0] for m in reasons] == [f"{panels[0].discipline}/2018",
+                                                     f"{panels[0].discipline}/2019"]
 
 
 def test_trend_still_raises_on_unusable_panels():

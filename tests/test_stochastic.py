@@ -4,6 +4,7 @@ import csv
 import dataclasses
 import functools
 import json
+import logging
 import math
 import sys
 from pathlib import Path
@@ -386,6 +387,24 @@ def test_verify_ensemble_compares_at_the_node_it_reads():
     assert checks["mean_recovery_t1"]["pass"]
     assert checks["mean_recovery_t5"]["expected"] == eval_history(params, 7 * 0.7)
     assert checks["ks_t5"]["pass"]
+
+
+def test_verify_ensemble_logs_a_failed_check(caplog):
+    # 20 paths are too few for the fixed KS bound of 0.02; a passing run
+    # logs nothing. The bounds are fixed today; a test of bounds derived
+    # from n_paths has to pick a config that still fails.
+    failing = SdeConfig(dt=0.5, horizon=10.0, n_paths=20, seed=0)
+    passing = SdeConfig(dt=0.5, horizon=10.0, n_paths=10_000, seed=0)
+    with caplog.at_level(logging.WARNING, logger="citedyn"):
+        checks = {c["name"]: c for c in verify_ensemble(ASTRO, VOL, failing)}
+    assert not checks["ks_t5"]["pass"]
+    assert [(r.name, r.getMessage()) for r in caplog.records] == [
+        ("citedyn.stochastic", "one or more verification checks failed")
+    ]
+    caplog.clear()
+    with caplog.at_level(logging.WARNING, logger="citedyn"):
+        assert all(c["pass"] for c in verify_ensemble(ASTRO, VOL, passing))
+    assert caplog.records == []
 
 
 def test_verify_ensemble_on_a_short_horizon():
