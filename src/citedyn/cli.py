@@ -805,6 +805,11 @@ def run_command(argv: Sequence[str] | None = None) -> int:
     collector = _WarningCollector()
     root = logging.getLogger("citedyn")
     root.addHandler(collector)
+    # A host that logs only errors would otherwise filter the warnings out
+    # before the collector sees them.
+    level = root.level
+    if root.getEffectiveLevel() > logging.WARNING:
+        root.setLevel(logging.WARNING)
     try:
         args = parser.parse_args(argv)
         _refuse_overwrite(args)
@@ -825,6 +830,7 @@ def run_command(argv: Sequence[str] | None = None) -> int:
         return int(exc.code or 0)
     finally:
         root.removeHandler(collector)
+        root.setLevel(level)
 
 
 def main() -> None:

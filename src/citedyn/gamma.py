@@ -6,10 +6,11 @@ integrates to H(T) gets the index
     gamma = ln(c / H(T)),
 
 i.e. the log of its citation count relative to the discipline expectation
-at the same age. The rank-based companion gamma* = Phi^(-1)(Q) maps the
-eprint's mid-rank Q within its discipline through the standard normal
-quantile, which makes scores comparable across disciplines whatever the
-shape of the underlying count distribution.
+at the same age. gamma_index is its one implementation, over arrays, with
+H once per distinct age. The rank-based companion gamma* = Phi^(-1)(Q)
+maps the eprint's mid-rank Q within its discipline through the standard
+normal quantile, which makes scores comparable across disciplines
+whatever the shape of the underlying count distribution.
 """
 
 from __future__ import annotations
@@ -60,16 +61,31 @@ RANK_CLAMP = (0.001, 0.999)
 
 KDE_GRID_SIZE = 512
 
+# build_reckoner refuses a grid of more cells than this.
+MAX_RECKONER_CELLS = 1_000_000
+
 
 # --- the index --------------------------------------------------------------
 
 
-def gamma_index(c: float, T: float, params: HistoryParams) -> float:
-    """ln(c / H(T)) for a finite count c >= 1 at a finite age T >= 1."""
-    if not (math.isfinite(c) and c >= 1):
-        raise DomainError(f"citation count must be finite and >= 1, got {c}")
-    split = cumulative_split(params, T)
-    return math.log(c / split.H)
+def gamma_index(c, T, params: HistoryParams):
+    """ln(c / H(T)) for finite counts c >= 1 at finite ages T >= 1: a float
+    for scalars, an array for arrays that broadcast. The first bad element
+    raises DomainError with the message a scalar call on it would give.
+    """
+    cs, Ts = np.broadcast_arrays(c, T)
+    ok = np.isfinite(cs) & (cs >= 1) & np.isfinite(Ts) & (Ts >= 1)
+    if not ok.all():
+        k = np.argmin(ok)  # the first bad element
+        c_k, T_k = cs.flat[k].item(), Ts.flat[k].item()
+        if not (math.isfinite(c_k) and c_k >= 1):
+            raise DomainError(f"citation count must be finite and >= 1, got {c_k}")
+        cumulative_split(params, T_k)  # raises the horizon's DomainError
+    ages, inverse = np.unique(Ts, return_inverse=True)
+    ratio = cs / np.array([cumulative_split(params, a).H for a in ages.tolist()])[inverse]
+    # math.log, not np.log: the two differ in the last bit on a few inputs.
+    gammas = [math.log(x) for x in ratio.ravel().tolist()]
+    return gammas[0] if ratio.ndim == 0 else np.reshape(gammas, ratio.shape)
 
 
 @dataclass(frozen=True)
@@ -102,19 +118,13 @@ def gamma_star_scores(scores: Iterable[GammaScore]) -> list[GammaStarScore]:
     scores = list(scores)
     if not scores:
         raise DataError("no scores to rank")
-    by_disc: dict[str, list[int]] = {}
-    for i, s in enumerate(scores):
-        by_disc.setdefault(s.discipline, []).append(i)
-    out: list[GammaStarScore | None] = [None] * len(scores)
-    for indices in by_disc.values():
-        gammas = np.array([scores[i].gamma for i in indices])
-        q = np.clip(mid_ranks(gammas), RANK_CLAMP[0], RANK_CLAMP[1])
-        stars = normal_quantile(q)
-        for i, qi, gi in zip(indices, q, stars):
-            out[i] = GammaStarScore(
-                eprint_id=scores[i].eprint_id, Q=float(qi), gamma_star=float(gi)
-            )
-    return out
+    discs = np.array([s.discipline for s in scores])
+    gammas = np.array([s.gamma for s in scores])
+    q = np.empty(len(scores))
+    for d in np.unique(discs):
+        q[discs == d] = np.clip(mid_ranks(gammas[discs == d]), *RANK_CLAMP)
+    return [GammaStarScore(eprint_id=s.eprint_id, Q=Q, gamma_star=g)
+            for s, Q, g in zip(scores, q.tolist(), normal_quantile(q).tolist())]
 
 
 def score_eprints(
@@ -126,8 +136,8 @@ def score_eprints(
     """Score every scorable eprint of one discipline at dataset_year.
 
     An eprint is scorable when it is at least one year old at the horizon
-    and has accumulated at least one citation by then; each of the rest is
-    logged as a warning on the citedyn.gamma logger, not silently dropped.
+    and has accumulated at least one citation by then. Each cause of a skip
+    logs one warning on the citedyn.gamma logger: its count and first five ids.
     Rank scores are computed within the scorable set, the same population
     the gamma values describe. A dataset_year past the corpus's retrieval year
     or before corpus.MIN_SUBMIT_YEAR raises DomainError, as
@@ -135,32 +145,23 @@ def score_eprints(
     """
     members = corpus.members(discipline)
     # The totals check dataset_year, so they come before the ages use it.
-    totals = corpus.citation_totals(members, through=dataset_year).tolist()
-    ages = (dataset_year - corpus.submit_years[members]).tolist()
-    usable = []
-    for k, T, c in zip(members.tolist(), ages, totals):
-        if T < 1:
-            log.warning("%s: not yet 1 year old in %d, skipped", corpus.ids[k], dataset_year)
-        elif c < 1:
-            log.warning("%s: no citations by %d, skipped", corpus.ids[k], dataset_year)
-        else:
-            usable.append((corpus.ids[k], T, c))
-    if not usable:
-        raise InsufficientDataError(
-            f"no scorable eprints in {discipline!r} at {dataset_year}"
-        )
-    # gamma_index per eprint, with H(T) computed once per distinct age.
-    H = {T: cumulative_split(params, T).H for T in {T for _, T, _ in usable}}
-    scores = [
-        GammaScore(
-            eprint_id=eid,
-            discipline=discipline,
-            T=T,
-            c=c,
-            gamma=math.log(c / H[T]),
-        )
-        for eid, T, c in usable
-    ]
+    totals = corpus.citation_totals(members, through=dataset_year)
+    ages = dataset_year - corpus.submit_years[members]
+    young = ages < 1
+    uncited = ~young & (totals < 1)
+    if young.any():
+        log.warning("%d eprints not yet 1 year old in %d, skipped (first: %s)", young.sum(),
+                    dataset_year, ", ".join(corpus.ids[k] for k in members[young][:5].tolist()))
+    if uncited.any():
+        log.warning("%d eprints with no citations by %d, skipped (first: %s)", uncited.sum(),
+                    dataset_year, ", ".join(corpus.ids[k] for k in members[uncited][:5].tolist()))
+    keep = ~(young | uncited)
+    if not keep.any():
+        raise InsufficientDataError(f"no scorable eprints in {discipline!r} at {dataset_year}")
+    ages, totals = ages[keep], totals[keep]
+    scores = [GammaScore(corpus.ids[k], discipline, T, c, g) for k, T, c, g in zip(
+        members[keep].tolist(), ages.tolist(), totals.tolist(),
+        gamma_index(totals, ages, params).tolist())]
     return scores, gamma_star_scores(scores)
 
 
@@ -189,13 +190,11 @@ def build_reckoner(
 ) -> ReadyReckoner:
     if not c_levels or not ages:
         raise DataError("reckoner needs at least one citation level and one age")
-    rows = []
-    for c in c_levels:
-        row = []
-        for T in ages:
-            g = gamma_index(c, T, params)
-            row.append(g if g >= 0 else None)
-        rows.append(tuple(row))
+    if len(c_levels) * len(ages) > MAX_RECKONER_CELLS:
+        raise DomainError(f"reckoner grid of {len(c_levels)} x {len(ages)} cells exceeds "
+                          f"{MAX_RECKONER_CELLS}")
+    grid = gamma_index(np.asarray(c_levels)[:, None], np.asarray(ages)[None, :], params)
+    rows = [tuple(g if g >= 0 else None for g in row) for row in grid.tolist()]
     return ReadyReckoner(
         discipline=discipline,
         c_levels=tuple(float(c) for c in c_levels),

@@ -4,6 +4,7 @@ import argparse
 import csv
 import hashlib
 import json
+import logging
 import math
 import os
 import re
@@ -263,7 +264,7 @@ def test_library_warnings_reach_the_envelope(tmp_path):
 
 
 def test_envelope_lists_warnings_in_the_order_logged(tmp_path):
-    # The loader's zero-fill is logged before gamma's per-eprint skips.
+    # The loader's zero-fill is logged before gamma's skips, one per cause.
     rows = ["a,x,2015,0,1", "a,x,2015,2,1", "b,x,2015,0,0", "b,x,2015,1,0", "b,x,2015,2,0",
             "c,x,2015,0,2", "c,x,2015,1,1", "c,x,2015,2,0", "d,x,2017,0,3"]
     gapped = tmp_path / "gapped.csv"
@@ -275,8 +276,25 @@ def test_envelope_lists_warnings_in_the_order_logged(tmp_path):
     assert (env["payload"]["n_scored"], env["payload"]["n_skipped"]) == (2, 2)
     assert env["warnings"] == [
         "eprint a: ages [1] absent from file, zero-filled",
-        "b: no citations by 2017, skipped",
-        "d: not yet 1 year old in 2017, skipped",
+        "1 eprints not yet 1 year old in 2017, skipped (first: d)",
+        "1 eprints with no citations by 2017, skipped (first: b)",
+    ]
+
+
+def test_warnings_are_collected_under_a_quieter_host_level(tmp_path):
+    # A host that logs only errors still gets the command's warnings in the
+    # envelope, and its own levels are as it left them afterwards.
+    host, lib = logging.getLogger(), logging.getLogger("citedyn")
+    before = host.level
+    host.setLevel(logging.ERROR)
+    try:
+        out = tmp_path / "r.json"
+        assert run_command(["fit-history", *SAMPLE_ASTRO, "--out", str(out)]) == 0
+        assert (host.level, lib.level) == (logging.ERROR, logging.NOTSET)
+    finally:
+        host.setLevel(before)
+    assert read_envelope(out)["warnings"] == [
+        "panel astro-ph/2019: no eprints observable at ages 6 to 20"
     ]
 
 
@@ -1303,6 +1321,18 @@ def test_out_of_range_input_is_refused_before_any_output(tmp_path, monkeypatch, 
     assert not (tmp_path / "r.json").exists()
     # No file is written or changed; --data keeps its bytes.
     assert {path.name: path.read_bytes() for path in tmp_path.iterdir()} == before
+
+
+def test_reckoner_grid_past_the_cell_bound_is_refused(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(gamma, "MAX_RECKONER_CELLS", 6)
+    monkeypatch.chdir(tmp_path)
+    outputs = ["--csv", "r.csv", "--out", "r.json"]
+    assert run_command(["reckoner", *SAMPLE_FIT, "--citations", "1:3", "--ages", "1:3",
+                        *outputs]) == 2
+    assert capsys.readouterr().err == "error: reckoner grid of 3 x 3 cells exceeds 6\n"
+    assert list(tmp_path.iterdir()) == []
+    assert run_command(["reckoner", *SAMPLE_FIT, "--citations", "1:2", "--ages", "1:3",
+                        *outputs]) == 0
 
 
 @pytest.mark.parametrize("argv", [

@@ -997,16 +997,22 @@ def loop_age_panel(recs, dataset_year, cap, max_age):
 
 
 def loop_scores(recs, discipline, params, dataset_year):
-    scores, warnings = [], []
+    scores, young, uncited = [], [], []
     for r in recs:
         T = dataset_year - r.submit_year
         c = citations_through(r, dataset_year)
         if T < 1:
-            warnings.append(f"{r.eprint_id}: not yet 1 year old in {dataset_year}, skipped")
+            young.append(r.eprint_id)
         elif c < 1:
-            warnings.append(f"{r.eprint_id}: no citations by {dataset_year}, skipped")
+            uncited.append(r.eprint_id)
         else:
             scores.append(GammaScore(r.eprint_id, discipline, T, c, gamma_index(c, T, params)))
+    warnings = [
+        f"{len(ids)} eprints {cause}, skipped (first: {', '.join(ids[:5])})"
+        for ids, cause in ((young, f"not yet 1 year old in {dataset_year}"),
+                           (uncited, f"with no citations by {dataset_year}"))
+        if ids
+    ]
     return scores, warnings
 
 

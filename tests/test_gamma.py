@@ -91,7 +91,68 @@ def test_gamma_scale_covariance(kappa, c, T):
     assert scaled - base == pytest.approx(math.log(kappa), rel=1e-9, abs=1e-9)
 
 
+good_counts = st.floats(min_value=1.0, max_value=1e6)
+good_ages = st.floats(min_value=1.0, max_value=100.0)
+bad_values = st.sampled_from([0.0, 0.5, -3.0, math.nan, math.inf, -math.inf])
+
+
+@given(
+    cells=st.lists(st.tuples(good_counts, good_ages), min_size=1, max_size=30),
+    bad=st.lists(st.tuples(st.integers(0, 29), st.sampled_from("cT"), bad_values), max_size=3),
+)
+def test_array_gamma_index_is_the_scalar_call(cells, bad):
+    # Bit for bit, in any shape; a bad element raises what the scalar call on
+    # the first one raises.
+    for k, which, value in bad:
+        if k < len(cells):
+            c, T = cells[k]
+            cells[k] = (value, T) if which == "c" else (c, value)
+    c, T = (np.array(column, dtype=float) for column in zip(*cells))
+    scalar, first_error = [], None
+    for ck, Tk in zip(c.tolist(), T.tolist()):
+        try:
+            scalar.append(gamma_index(ck, Tk, ASTRO))
+        except DomainError as exc:
+            first_error = first_error or str(exc)
+    if first_error is None:
+        assert gamma_index(c, T, ASTRO).tolist() == scalar
+        grid = gamma_index(c[::-1, None], T[None, ::-1], ASTRO)
+        assert grid[::-1, ::-1].diagonal().tolist() == scalar
+    else:
+        with pytest.raises(DomainError) as err:
+            gamma_index(c, T, ASTRO)
+        assert str(err.value) == first_error
+
+
+def test_gamma_index_keeps_scalar_messages():
+    with pytest.raises(DomainError, match=r"citation count must be finite and >= 1, got 0$"):
+        gamma_index(np.array([5, 0]), 2, ASTRO)
+    with pytest.raises(DomainError, match=r"horizon must be finite and >= 1, got 0.5$"):
+        gamma_index(np.array([5, 0]), np.array([0.5, 2.0]), ASTRO)
+    assert type(gamma_index(5, 2, ASTRO)) is float
+
+
 # --- ready reckoner ---------------------------------------------------------------
+
+
+def test_reckoner_evaluates_H_once_per_distinct_age(monkeypatch):
+    calls = []
+
+    def counted(params, T):
+        calls.append(T)
+        return cumulative_split(params, T)
+
+    monkeypatch.setattr(gamma_mod, "cumulative_split", counted)
+    reck = build_reckoner(ASTRO, (5, 10, 50), (2, 3, 3, 10), "astro-ph")
+    assert sorted(calls) == [2, 3, 10]
+    assert reck.matrix[0][1] == reck.matrix[0][2] == gamma_index(5, 3, ASTRO)
+
+
+def test_reckoner_grid_is_bounded(monkeypatch):
+    monkeypatch.setattr(gamma_mod, "MAX_RECKONER_CELLS", 6)
+    assert len(build_reckoner(ASTRO, (5, 10), (2, 3, 4), "x").matrix) == 2
+    with pytest.raises(DomainError, match="reckoner grid of 3 x 3 cells exceeds 6"):
+        build_reckoner(ASTRO, (5, 10, 50), (2, 3, 4), "x")
 
 
 def test_reckoner_reproduces_reference_grid():
@@ -237,11 +298,12 @@ def test_score_eprints_skips_unscorable_with_warnings(caplog):
     assert scores[0].c == 6
     assert scores[0].gamma == pytest.approx(gamma_index(6, 4, ASTRO), rel=1e-15)
     assert stars[0].Q == 0.5
-    # One record per skipped eprint, each on the citedyn.gamma logger.
-    assert len(caplog.records) == 2
+    # One record per cause, each on the citedyn.gamma logger.
     assert {r.name for r in caplog.records} == {"citedyn.gamma"}
-    assert any("too-young" in w for w in caplog.messages)
-    assert any("uncited" in w for w in caplog.messages)
+    assert caplog.messages == [
+        "1 eprints not yet 1 year old in 2019, skipped (first: too-young)",
+        "1 eprints with no citations by 2019, skipped (first: uncited)",
+    ]
 
 
 def test_score_eprints_error_paths():
